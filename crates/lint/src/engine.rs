@@ -20,11 +20,10 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Walks `crates/*/src`, `vendor/mini-rayon/src`, and
-    /// `vendor/mini-poll/src` under `root` for Rust sources, plus the
-    /// prose/config surfaces the workspace rules need. Paths are stored
-    /// root-relative with `/` separators so findings and baselines are
-    /// stable across machines.
+    /// Walks `crates/*/src` and `vendor/mini-rayon/src` under `root` for
+    /// Rust sources, plus the prose/config surfaces the workspace rules
+    /// need. Paths are stored root-relative with `/` separators so
+    /// findings and baselines are stable across machines.
     pub fn scan_root(root: &Path) -> io::Result<Workspace> {
         let mut files = Vec::new();
         let crates_dir = root.join("crates");
@@ -36,7 +35,6 @@ impl Workspace {
             }
         }
         src_roots.push(root.join("vendor/mini-rayon/src"));
-        src_roots.push(root.join("vendor/mini-poll/src"));
         src_roots.sort();
         for src in src_roots {
             collect_rs(&src, &mut |path| {

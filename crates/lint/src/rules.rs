@@ -71,13 +71,11 @@ const DETERMINISTIC_PREFIXES: &[&str] = &[
 /// an injected trait object and stays replayable.
 const CLOCK_PREFIXES: &[&str] = &["crates/bench/", "crates/obs/src/clock.rs"];
 
-/// Files allowed to create threads (D3): the vendored pool, the server
-/// acceptor/worker module, and the event-driven core (its loops and
-/// compute pool).
+/// Files allowed to create threads (D3): the vendored pool and the server
+/// acceptor/worker module.
 const THREAD_FILES: &[&str] = &[
     "vendor/mini-rayon/src/lib.rs",
     "crates/server/src/server.rs",
-    "crates/server/src/event.rs",
 ];
 
 /// Crates whose non-test code must never panic on a request or decode

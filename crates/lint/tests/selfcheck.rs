@@ -135,33 +135,26 @@ fn removing_a_scheme_from_the_battery_fails_x2() {
 }
 
 #[test]
-fn the_unsafe_whitelist_names_only_the_poll_shim_and_every_crate_forbids_unsafe() {
+fn the_unsafe_whitelist_is_empty_and_every_crate_forbids_unsafe() {
     let root = repo_root();
     let whitelist = load_unsafe_whitelist(&root).expect("whitelist readable");
-    // The readiness syscall shim is the one reviewed exception (DESIGN.md
-    // §15); anything else appearing here must be argued in DESIGN.md §11
-    // and reflected in this test.
-    let expected: std::collections::BTreeSet<String> =
-        ["vendor/mini-poll/src/sys.rs".to_string()].into();
-    assert_eq!(
-        whitelist, expected,
-        "the unsafe whitelist changed; reflect that here and in DESIGN.md §11/§15"
-    );
-    // The whitelisted module really is the only unsafe surface: the crate
-    // root re-denies unsafe_code so the exception cannot leak outward.
-    let poll_lib = std::fs::read_to_string(root.join("vendor/mini-poll/src/lib.rs"))
-        .expect("mini-poll lib.rs readable");
+    // No file may contain `unsafe`; a new exception must be argued in
+    // DESIGN.md §11 and reflected in this test.
     assert!(
-        poll_lib.contains("#![deny(unsafe_code)]"),
-        "vendor/mini-poll/src/lib.rs must deny unsafe_code outside the sys shim"
+        whitelist.is_empty(),
+        "the unsafe whitelist gained {whitelist:?}; reflect that here and in DESIGN.md §11"
     );
-    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
-        let lib = entry.expect("entry").path().join("src/lib.rs");
-        let text = std::fs::read_to_string(&lib).expect("lib.rs readable");
-        assert!(
-            text.contains("#![forbid(unsafe_code)]"),
-            "{} does not forbid unsafe_code",
-            lib.display()
-        );
+    // Every crate root, vendored ones included, backstops the empty list
+    // with `forbid`, which no inner attribute can override.
+    for dir in ["crates", "vendor"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("crate directory") {
+            let lib = entry.expect("entry").path().join("src/lib.rs");
+            let text = std::fs::read_to_string(&lib).expect("lib.rs readable");
+            assert!(
+                text.contains("#![forbid(unsafe_code)]"),
+                "{} does not forbid unsafe_code",
+                lib.display()
+            );
+        }
     }
 }

@@ -8,7 +8,8 @@
 //! * [`Json`] — an ordered value tree (object keys keep insertion order, so
 //!   rendered documents are stable);
 //! * [`Json::parse`] — a strict recursive-descent parser with byte-offset
-//!   diagnostics;
+//!   diagnostics, bounded to [`MAX_DEPTH`] nested arrays/objects so no
+//!   input can exhaust the stack;
 //! * [`Json::pretty`] — two-space-indented rendering in the conventional
 //!   `"key": value` style.
 //!
@@ -16,6 +17,13 @@
 //! workspace serializes (attribute codes and probabilities).
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Parsing
+/// recurses once per level, so without a bound a single line of `[`s
+/// (well under any request-size limit) overflows the thread stack and
+/// aborts the process; every document this workspace reads or writes
+/// nests a handful of levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value. Object member order is preserved.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +69,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -302,6 +311,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -346,8 +357,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -356,6 +367,21 @@ impl Parser<'_> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -667,6 +693,22 @@ mod tests {
             let back = Json::parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits());
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert_eq!(Json::parse(&nested(MAX_DEPTH)).map(|_| ()), Ok(()));
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Objects count toward the same bound as arrays.
+        let objects = "{\"k\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&objects).is_ok());
+        let mixed = "{\"k\":".repeat(MAX_DEPTH) + "[]" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&mixed).is_err());
+        // An unterminated flood is refused at the bound, not by the stack.
+        assert!(Json::parse(&"[".repeat(500_000)).is_err());
     }
 
     #[test]

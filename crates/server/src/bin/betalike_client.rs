@@ -387,6 +387,12 @@ fn pipeline_requests(client_id: usize, depth: usize) -> Vec<String> {
 /// transcript, then written all at once — the responses must come back
 /// byte-identical, in request order, each echoing its request's
 /// `trace_id`.
+///
+/// The serial connection is closed before the pipelined one opens. A
+/// server worker keeps its connection until the client hangs up, so a
+/// client holding both would pin a worker with an idle connection while
+/// its second one waits in the admission queue; with `clients >= threads`
+/// every worker ends up pinned that way and nothing progresses.
 fn pipeline_once(addr: &str, client_id: usize, depth: usize) -> Result<(), Failure> {
     let lines = pipeline_requests(client_id, depth);
     let mut serial =
@@ -397,6 +403,7 @@ fn pipeline_once(addr: &str, client_id: usize, depth: usize) -> Result<(), Failu
             Failure::from(format!("client {client_id}: serial reference failed: {e}"))
         })?);
     }
+    drop(serial);
     let mut piped =
         Client::connect(addr).map_err(|e| Failure::from(format!("connect {addr}: {e}")))?;
     let answers = piped

@@ -6,13 +6,18 @@
 //!                [--idle-timeout-ms MS] [--request-timeout-ms MS]
 //!                [--no-catalog] [--result-cache N] [--no-obs]
 //!                [--log-level LEVEL] [--log-json] [--slow-query-ms MS]
-//!                [--event-loops N] [--max-line-bytes N]
+//!                [--max-line-bytes N]
 //! ```
 //!
 //! * `--addr` defaults to `127.0.0.1:7878`; port `0` binds an ephemeral
 //!   port. Once bound, the server prints `LISTENING <addr>` on stdout (the
 //!   CI smoke script scrapes this line to find the port).
-//! * `--threads` sizes the worker pool (default `max(8, cores)`).
+//! * `--threads` sizes the worker pool (default `max(8, cores)`). Each
+//!   worker owns one connection until the client disconnects and answers
+//!   its requests in order; a client may *pipeline* — write many request
+//!   lines before reading — and gets the responses back in request order
+//!   with `trace_id`s echoed for pairing. See DESIGN.md §15 and
+//!   docs/WIRE.md "Pipelining".
 //! * `--preload` materializes a dataset before accepting traffic, e.g.
 //!   `census:10000:42`, `patients`, `synthetic:1000:7`.
 //! * `--data-dir` enables durable publications: fresh publishes are
@@ -48,22 +53,15 @@
 //! * `--slow-query-ms` logs one `warn` line, with the request's per-span
 //!   timing breakdown, for every request slower than MS milliseconds
 //!   (`0`, the default, disables the slow-query log).
-//! * `--event-loops` selects the event-driven core with N readiness
-//!   loops (`0`, the default, keeps the threaded core). Connections are
-//!   multiplexed over non-blocking sockets and clients may *pipeline*
-//!   requests — responses come back in request order with `trace_id`s
-//!   echoed for pairing; `--threads` sizes the compute pool behind the
-//!   loops. See DESIGN.md §15 and docs/WIRE.md "Pipelining".
 //! * `--max-line-bytes` bounds a request line (default 1 MiB). An
 //!   oversized line is answered with one parseable fatal `too_large`
-//!   error and the connection closes — under either core.
+//!   error and the connection closes.
 //!
 //! Each timing/queue flag also reads an environment fallback when the
 //! flag is absent: `BETALIKE_READ_TIMEOUT_MS`, `BETALIKE_IDLE_TIMEOUT_MS`,
 //! `BETALIKE_REQUEST_TIMEOUT_MS`, `BETALIKE_QUEUE`,
-//! `BETALIKE_RESULT_CACHE`, `BETALIKE_EVENT_LOOPS`,
-//! `BETALIKE_MAX_LINE_BYTES` — so a supervisor can retune a deployment
-//! without editing its unit files.
+//! `BETALIKE_RESULT_CACHE`, `BETALIKE_MAX_LINE_BYTES` — so a supervisor
+//! can retune a deployment without editing its unit files.
 //!
 //! The process runs until a client sends `{"op":"shutdown"}`.
 
@@ -98,7 +96,6 @@ fn main() {
     let mut queue = None;
     let mut result_cache = None;
     let mut slow_query = None;
-    let mut event_loops = None;
     let mut max_line_bytes = None;
     cfg.log_level = Logger::level_from_env().unwrap_or(Level::Warn);
     let mut args = std::env::args().skip(1);
@@ -141,7 +138,6 @@ fn main() {
             }
             "--log-json" => cfg.log_json = true,
             "--slow-query-ms" => slow_query = Some(value("--slow-query-ms")),
-            "--event-loops" => event_loops = Some(value("--event-loops")),
             "--max-line-bytes" => max_line_bytes = Some(value("--max-line-bytes")),
             other => {
                 eprintln!("unknown argument `{other}`");
@@ -149,8 +145,7 @@ fn main() {
                     "usage: betalike-serve [--addr HOST:PORT] [--threads N] [--preload SPEC] \
                      [--data-dir DIR] [--queue N] [--read-timeout-ms MS] [--idle-timeout-ms MS] \
                      [--request-timeout-ms MS] [--no-catalog] [--result-cache N] [--no-obs] \
-                     [--log-level LEVEL] [--log-json] [--slow-query-ms MS] [--event-loops N] \
-                     [--max-line-bytes N]"
+                     [--log-level LEVEL] [--log-json] [--slow-query-ms MS] [--max-line-bytes N]"
                 );
                 std::process::exit(2);
             }
@@ -173,7 +168,6 @@ fn main() {
     );
     cfg.queue = numeric("--queue", "BETALIKE_QUEUE", queue) as usize;
     cfg.slow_query_ms = numeric("--slow-query-ms", "BETALIKE_SLOW_QUERY_MS", slow_query);
-    cfg.event_loops = numeric("--event-loops", "BETALIKE_EVENT_LOOPS", event_loops) as usize;
     cfg.max_line_bytes = numeric(
         "--max-line-bytes",
         "BETALIKE_MAX_LINE_BYTES",

@@ -182,13 +182,14 @@ impl Client {
     }
 
     /// *Pipelines* a batch: writes every request line up front, then
-    /// reads exactly one response line per request, in order. Against an
-    /// event-driven server (`--event-loops`) the requests are serviced
-    /// concurrently while responses still come back in request order
-    /// (DESIGN.md §15); against a threaded server this degrades
-    /// gracefully to serial service over one round trip. Response lines
-    /// are returned raw (no trailing newline), so byte-identity tests
-    /// can compare them against [`Client::call_raw`] transcripts.
+    /// reads exactly one response line per request, in order. The server
+    /// answers the batch one request at a time, in request order
+    /// (DESIGN.md §15), so the batch pays one round trip instead of one
+    /// per request. The whole batch is written before any response is
+    /// read, so it must fit in the socket buffers — a few hundred small
+    /// requests is far below that. Response lines are returned raw (no
+    /// trailing newline), so byte-identity tests can compare them
+    /// against [`Client::call_raw`] transcripts.
     ///
     /// # Errors
     ///

@@ -10,9 +10,9 @@
 //!   time — framing is tolerant of any chunking) and extracts complete
 //!   newline-terminated lines as [`FramedRequest`]s for dispatch.
 //! * **Dispatching** — each framed request claims a sequence-numbered
-//!   *slot* in the response queue. Dispatch may complete out of order
-//!   (the event loops hand requests to a compute pool);
-//!   [`Conn::complete`] files each response into its slot.
+//!   *slot* in the response queue; [`Conn::complete`] files each
+//!   response into its slot, in whatever order the driver completes
+//!   them.
 //! * **Writing** — [`Conn::output`] exposes exactly the responses whose
 //!   turn has come: slots drain to the write buffer strictly in request
 //!   order, so **pipelined responses are always written in the order the
@@ -25,12 +25,12 @@
 //! which the connection is closed once pending output drains — the
 //! pre-bound server grew its read buffer without limit instead.
 //!
-//! Both server cores drive the same machine — the blocking thread-per-
-//! connection path feeds it from a timed read loop and dispatches inline;
-//! the event-driven path feeds it from readiness events and completes
-//! asynchronously — which is what makes the deterministic harness in
-//! `tests/pipeline.rs` meaningful: byte-for-byte equality of [`Conn`]
-//! output across schedules *is* equality of what either server writes.
+//! The server's worker feeds the machine from a timed read loop and
+//! answers each framed request inline, in order. The machine itself does
+//! not assume that order, which is what makes the deterministic harness
+//! in `tests/pipeline.rs` meaningful: byte-for-byte equality of [`Conn`]
+//! output across chunkings and completion orders *is* equality of what
+//! the server writes under any packet schedule.
 
 use crate::wire::{error_response, fatal_coded_error, ERR_TOO_LARGE};
 use std::collections::VecDeque;
@@ -266,15 +266,6 @@ impl Conn {
         !self.output().is_empty()
     }
 
-    /// Dispatched requests whose responses have not been filed yet — the
-    /// event loop's per-connection backpressure signal.
-    pub fn in_flight(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s, Slot::Waiting(_)))
-            .count()
-    }
-
     /// Whether a request line has started but not finished (drives the
     /// request timeout; a connection with no partial line is *idle*).
     pub fn has_partial(&self) -> bool {
@@ -351,7 +342,7 @@ mod tests {
         assert_eq!(drain(&mut conn), "{\"r\":\"a\"}\n");
         conn.complete(1, "{\"r\":\"b\"}", false);
         assert_eq!(drain(&mut conn), "{\"r\":\"b\"}\n{\"r\":\"c\"}\n");
-        assert_eq!(conn.in_flight(), 0);
+        assert!(!conn.has_output(), "every slot drained");
         assert!(!conn.wants_close(), "no EOF yet");
     }
 

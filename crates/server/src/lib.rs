@@ -41,7 +41,6 @@
 pub mod artifact;
 pub mod client;
 pub mod conn;
-pub mod event;
 pub(crate) mod obs;
 pub mod persist;
 pub mod registry;
@@ -51,7 +50,6 @@ pub mod wire;
 
 pub use client::{retry_call, with_retries, Client, ClientError, CountReply, PublishReply};
 pub use conn::{Conn, FramedRequest, DEFAULT_MAX_LINE_BYTES};
-pub use event::MAX_PIPELINE_INFLIGHT;
 pub use registry::{Dataset, DatasetSpec, Registry};
 pub use server::{serve, LocalServer, ServerConfig, ServerHandle};
 pub use wire::{Algo, CountRequest, PublishRequest};

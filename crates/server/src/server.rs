@@ -1,25 +1,17 @@
 //! The resident TCP service: connection handling, request dispatch.
 //!
-//! The server has **two interchangeable cores** behind one wire contract:
-//!
-//! * The default *threaded* core (this module): one acceptor thread hands
-//!   accepted connections to a fixed pool of worker threads over a
-//!   *bounded* channel; each worker owns a connection for its lifetime
-//!   and processes newline-delimited JSON requests in order (see
-//!   [`crate::wire`]).
-//! * The *event-driven* core ([`crate::event`], enabled by
-//!   [`ServerConfig::event_loops`] > 0): N readiness loops multiplex all
-//!   connections over non-blocking sockets and hand compute to a worker
-//!   pool, which unlocks request **pipelining** (DESIGN.md §15).
-//!
-//! Both cores frame and order requests through the same
-//! [`crate::conn::Conn`] state machine, so their wire behavior is
-//! byte-identical by construction — the deterministic harness in
-//! `tests/pipeline.rs` asserts it. All published state lives in one
-//! shared `State`: the dataset registry and a content-addressed artifact
-//! cache whose entries are computed at most once and then served
-//! lock-free (workers hold `Arc`s; the cache mutex guards only map
-//! lookups).
+//! One acceptor thread hands accepted connections to a fixed pool of
+//! worker threads over a *bounded* channel; each worker owns a connection
+//! for its lifetime and processes newline-delimited JSON requests in
+//! order (see [`crate::wire`]). Framing and response ordering run
+//! through the [`crate::conn::Conn`] state machine, so a client may
+//! *pipeline* — write many request lines before reading — and still get
+//! one response per request, in request order (DESIGN.md §15); the
+//! deterministic harness in `tests/pipeline.rs` pins that wire behavior
+//! byte for byte. All published state lives in one shared `State`: the
+//! dataset registry and a content-addressed artifact cache whose entries
+//! are computed at most once and then served lock-free (workers hold
+//! `Arc`s; the cache mutex guards only map lookups).
 //!
 //! # Overload protection (DESIGN.md §12)
 //!
@@ -152,17 +144,6 @@ pub struct ServerConfig {
     /// Effective only while [`ServerConfig::obs`] is on (timings are the
     /// evidence the log reports).
     pub slow_query_ms: u64,
-    /// Event loops for the event-driven core (`0` = the default threaded
-    /// core). With N > 0 loops, connections are multiplexed over
-    /// non-blocking sockets sharded across N readiness threads
-    /// ([`crate::event`]): clients may *pipeline* requests (responses
-    /// come back in request order), `threads` sizes the compute pool the
-    /// loops hand dispatch to, and admission is capped at
-    /// `threads + queue` concurrently open connections (the same bound
-    /// the threaded core enforces with sticky workers plus its queue) —
-    /// arrivals beyond it are shed with the identical retryable
-    /// [`crate::wire::ERR_OVERLOADED`] line.
-    pub event_loops: usize,
     /// Longest accepted request line in bytes (`0` →
     /// [`crate::conn::DEFAULT_MAX_LINE_BYTES`], 1 MiB). A line that
     /// exceeds the bound is answered with one parseable *fatal*
@@ -190,53 +171,47 @@ impl Default for ServerConfig {
             log_level: Level::Warn,
             log_json: false,
             slow_query_ms: 0,
-            event_loops: 0,
             max_line_bytes: 0,
         }
     }
 }
 
 /// Shared server state: everything a worker needs to answer any request.
-/// Fields are `pub(crate)` because both cores — the threaded one here and
-/// the event-driven one in [`crate::event`] — drive the same state.
 #[derive(Debug)]
-pub(crate) struct State {
+struct State {
     registry: Registry,
     artifacts: crate::registry::LazyMap<Result<Arc<Artifact>, String>>,
     store: Option<ArtifactStore>,
-    pub(crate) shutdown: AtomicBool,
+    shutdown: AtomicBool,
     addr: SocketAddr,
-    /// Worker-pool size (for `health`; the event core's admission cap).
-    pub(crate) workers: usize,
-    /// Admission-queue capacity (for `health`; ditto).
-    pub(crate) queue_capacity: usize,
+    /// Worker-pool size (for `health`).
+    workers: usize,
+    /// Admission-queue capacity (for `health`).
+    queue_capacity: usize,
     /// Metrics registry, per-op counters/histograms, logger, tracing.
     /// The admission gauges live here: the acceptor bumps `queue_depth`
     /// after a successful enqueue and the worker moves the connection to
     /// `active_connections` in one coherent registry transition.
-    pub(crate) obs: ServerObs,
+    obs: ServerObs,
     /// Plan-classification counters shared by every artifact's catalog.
     catalog_stats: CatalogStats,
     /// Handles a detached background publisher is currently computing
     /// (deadline-bounded publishes claim here so at most one background
     /// thread runs per handle).
     inflight: Mutex<BTreeSet<String>>,
-    pub(crate) read_timeout_ms: u64,
-    pub(crate) idle_timeout_ms: u64,
-    pub(crate) request_timeout_ms: u64,
+    read_timeout_ms: u64,
+    idle_timeout_ms: u64,
+    request_timeout_ms: u64,
     /// Whether publishes/restores derive aggregate catalogs.
     catalog: bool,
     /// The `count` result cache (capacity 0 = disabled).
     results: ResultCache,
-    /// Event loops serving this process (`0` = threaded core).
-    pub(crate) event_loops: usize,
     /// Request-line byte bound (`0` → the [`Conn`] default, 1 MiB).
-    pub(crate) max_line_bytes: usize,
+    max_line_bytes: usize,
 }
 
-/// A running server: its bound address plus the thread handles needed to
-/// join or stop it — the acceptor and workers of the threaded core, or
-/// the event loops and compute pool of the event-driven one.
+/// A running server: its bound address plus the acceptor and worker
+/// thread handles needed to join or stop it.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
@@ -251,7 +226,7 @@ impl ServerHandle {
     }
 
     /// Requests shutdown without a client: raises the flag and pokes the
-    /// accepting thread(s).
+    /// acceptor.
     pub fn shutdown(&self) {
         initiate_shutdown(&self.state);
     }
@@ -271,8 +246,8 @@ impl ServerHandle {
     }
 }
 
-/// Binds, spawns the chosen core ([`ServerConfig::event_loops`]), and
-/// returns immediately.
+/// Binds, spawns the acceptor and the worker pool, and returns
+/// immediately.
 ///
 /// # Errors
 ///
@@ -282,11 +257,7 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let state = build_state(cfg, addr)?;
-    let threads = if cfg.event_loops > 0 {
-        crate::event::spawn_event_core(&state, listener, cfg.event_loops)?
-    } else {
-        spawn_threaded_core(&state, listener)
-    };
+    let threads = spawn_workers(&state, listener);
     Ok(ServerHandle {
         addr,
         state,
@@ -296,7 +267,7 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
 
 /// Everything [`serve`] does except binding and spawning: resolves the
 /// config, opens the durable store, registers metrics, and preloads —
-/// shared by both cores and by [`LocalServer`] (which never binds).
+/// shared with [`LocalServer`] (which never binds).
 fn build_state(cfg: &ServerConfig, addr: SocketAddr) -> std::io::Result<Arc<State>> {
     let metrics = Arc::new(MetricsRegistry::new());
     let obs = ServerObs::new(
@@ -362,7 +333,6 @@ fn build_state(cfg: &ServerConfig, addr: SocketAddr) -> std::io::Result<Arc<Stat
         request_timeout_ms: cfg.request_timeout_ms,
         catalog: cfg.catalog,
         results: ResultCache::new(cfg.result_cache),
-        event_loops: cfg.event_loops,
         max_line_bytes: cfg.max_line_bytes,
     });
     if let Some(spec) = &cfg.preload {
@@ -371,8 +341,8 @@ fn build_state(cfg: &ServerConfig, addr: SocketAddr) -> std::io::Result<Arc<Stat
     Ok(state)
 }
 
-/// Spawns the threaded core: one acceptor plus the sticky worker pool.
-fn spawn_threaded_core(state: &Arc<State>, listener: TcpListener) -> Vec<JoinHandle<()>> {
+/// Spawns one acceptor plus the sticky worker pool.
+fn spawn_workers(state: &Arc<State>, listener: TcpListener) -> Vec<JoinHandle<()>> {
     let (tx, rx) = sync_channel::<TcpStream>(state.queue_capacity);
     let rx = Arc::new(Mutex::new(rx));
     let mut threads: Vec<JoinHandle<()>> = (0..state.workers)
@@ -395,8 +365,8 @@ fn spawn_threaded_core(state: &Arc<State>, listener: TcpListener) -> Vec<JoinHan
 /// would read. This is the seam the deterministic protocol harness
 /// (`tests/pipeline.rs`) builds on — drive a [`Conn`] with a scripted
 /// byte-arrival schedule, answer its framed requests here, and the bytes
-/// the machine emits are byte-for-byte what either server core would have
-/// written.
+/// the machine emits are byte-for-byte what a served connection would
+/// have written.
 #[derive(Debug)]
 pub struct LocalServer {
     state: Arc<State>,
@@ -404,8 +374,8 @@ pub struct LocalServer {
 
 impl LocalServer {
     /// Builds the server state without binding a listener or spawning
-    /// threads. `addr`, `threads`, `queue`, and `event_loops` are
-    /// recorded for `health` but nothing listens or runs.
+    /// threads. `addr`, `threads`, and `queue` are recorded for `health`
+    /// but nothing listens or runs.
     ///
     /// # Errors
     ///
@@ -426,14 +396,14 @@ impl LocalServer {
         (response.compact(), stop)
     }
 
-    /// The configured request-line byte bound, resolved the same way the
-    /// serving cores resolve it — harnesses hand this to [`Conn::new`].
+    /// The configured request-line byte bound, exactly as the server
+    /// hands it to [`Conn::new`] — harnesses do the same.
     pub fn max_line_bytes(&self) -> usize {
         self.state.max_line_bytes
     }
 }
 
-pub(crate) fn initiate_shutdown(state: &State) {
+fn initiate_shutdown(state: &State) {
     state.shutdown.store(true, Ordering::SeqCst);
     // Poke the acceptor so its blocking accept() observes the flag.
     let _ = TcpStream::connect(state.addr);
@@ -472,10 +442,9 @@ fn acceptor_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, state: &Sta
 }
 
 /// Refuses one connection with a retryable `overloaded` error line. Runs
-/// on the accepting thread (the threaded core's acceptor, or an event
-/// loop), so the write carries a short timeout — a peer that never reads
-/// cannot stall admission.
-pub(crate) fn shed_connection(state: &State, mut stream: TcpStream) {
+/// on the acceptor thread, so the write carries a short timeout — a peer
+/// that never reads cannot stall admission.
+fn shed_connection(state: &State, mut stream: TcpStream) {
     state.obs.shed.inc();
     state.obs.logger.warn(
         "connection shed: admission queue full",
@@ -568,11 +537,13 @@ fn serve_framed(
 /// Processes one connection's requests in order until EOF, an I/O error,
 /// a `shutdown` request, server shutdown, or a timeout expiry.
 ///
-/// Framing and response ordering run through the same [`Conn`] state
-/// machine as the event-driven core, which is what bounds the request
-/// line ([`ServerConfig::max_line_bytes`]) and validates UTF-8 only once
-/// a line is complete (a mid-multibyte timeout must not corrupt
-/// framing). Reads run under a configurable poll tick
+/// Framing and response ordering run through the [`Conn`] state machine,
+/// which bounds the request line ([`ServerConfig::max_line_bytes`]),
+/// validates UTF-8 only once a line is complete (a mid-multibyte timeout
+/// must not corrupt framing), and answers a pipelined batch in request
+/// order. While the worker writes it does not read, so a client that
+/// pipelines faster than it drains is held back by TCP flow control.
+/// Reads run under a configurable poll tick
 /// ([`ServerConfig::read_timeout_ms`]) so a worker parked on an idle
 /// connection still observes shutdown within one tick. The same tick
 /// drives two timers, both counted in ticks and reset per request line:
@@ -683,7 +654,7 @@ fn echo_trace_id(response: &mut Json, trace_id: Option<&str>) {
 /// pool worker. Every path — parse failure included — lands in
 /// [`ServerObs::finish`], so the per-op request/error counters account
 /// for every request line the server ever answered.
-pub(crate) fn respond(state: &Arc<State>, text: &str) -> (Json, bool) {
+fn respond(state: &Arc<State>, text: &str) -> (Json, bool) {
     let obs = &state.obs;
     let start = obs.start();
     let trace = obs.trace();
@@ -802,10 +773,6 @@ fn health(state: &Arc<State>) -> Json {
     let mut members = vec![
         ("status".to_string(), Json::Str(status.into())),
         ("workers".to_string(), Json::Num(state.workers as f64)),
-        (
-            "event_loops".to_string(),
-            Json::Num(state.event_loops as f64),
-        ),
         (
             "queue_capacity".to_string(),
             Json::Num(state.queue_capacity as f64),

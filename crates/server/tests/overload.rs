@@ -2,8 +2,10 @@
 //! (DESIGN.md §12): bounded admission with explicit `overloaded` sheds,
 //! read-only degraded mode driven by an injected chaos filesystem,
 //! deadline-bounded publishes, idle/mid-request timeouts, the
-//! shutdown-latency contract, and the `betalike-client --retries` path
-//! surviving an injected shed.
+//! shutdown-latency contract, sheds with pipelining in the mix, hostile
+//! request lines answered with one error instead of an abort, and the
+//! `betalike-client` binary surviving an injected shed and pipelining
+//! with more clients than workers.
 
 use betalike_faults::{ChaosVfs, FaultPlan};
 use betalike_microdata::json::Json;
@@ -318,6 +320,171 @@ fn shutdown_latency_is_bounded_by_the_read_tick() {
         "shutdown with idle workers took {elapsed:?} (tick is 25ms)"
     );
     drop(parked);
+}
+
+/// Sheds stay parseable while admitted connections are mid-pipeline: a
+/// full-capacity server (one worker busy, one connection queued) whose
+/// two connections each wrote a depth-32 batch refuses the next arrival
+/// with the exact `overloaded` line, and both batches still drain in
+/// request order.
+#[test]
+fn sheds_are_parseable_mid_pipeline_and_pipelines_complete() {
+    let server = serve(&ServerConfig {
+        threads: 1,
+        queue: 1,
+        read_timeout_ms: 25,
+        ..Default::default()
+    })
+    .expect("bind");
+    let addr = server.addr();
+
+    // Two admitted connections (1 worker + 1 queue slot) each write a
+    // depth-32 pipelined batch without reading yet. The first reply on
+    // the first connection proves the worker owns it before the second
+    // arrives, so the second takes the queue slot rather than a shed.
+    let depth = 32;
+    let mut busy = Vec::new();
+    for c in 0..2 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_millis(10000)))
+            .expect("timeout");
+        let batch: String = (0..depth)
+            .map(|i| format!("{{\"op\":\"ping\",\"trace_id\":\"c{c}-{i}\"}}\n"))
+            .collect();
+        stream.write_all(batch.as_bytes()).expect("write batch");
+        let mut reader = BufReader::new(stream);
+        let mut next = 0;
+        if c == 0 {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("first pipelined reply");
+            assert!(line.contains("\"trace_id\":\"c0-0\""), "{line}");
+            next = 1;
+        }
+        busy.push((reader, next));
+    }
+
+    // The third arrival sheds mid-pipeline, parseably.
+    let mut extra = TcpStream::connect(addr).expect("connect extra");
+    extra
+        .set_read_timeout(Some(Duration::from_millis(2000)))
+        .expect("timeout");
+    extra.write_all(b"{\"op\":\"ping\"}\n").expect("write ping");
+    let mut reader = BufReader::new(extra);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("shed reply");
+    let doc = Json::parse(line.trim()).expect("shed reply parses");
+    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(doc.get("code").and_then(Json::as_str), Some("overloaded"));
+    assert_eq!(doc.get("retryable").and_then(Json::as_bool), Some(true));
+
+    // Both pipelines drain completely, responses in request order. The
+    // queued connection is served once the first one hangs up.
+    for (c, (mut reader, next)) in busy.into_iter().enumerate() {
+        for i in next..depth {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("pipelined reply");
+            let doc = Json::parse(line.trim()).expect("reply parses");
+            assert_eq!(
+                doc.get("trace_id").and_then(Json::as_str),
+                Some(format!("c{c}-{i}").as_str()),
+                "client {c} response {i} out of order: {line}"
+            );
+        }
+    }
+    server.shutdown_and_join();
+}
+
+/// A request line of 500 000 `[` — under the 1 MiB line bound, but deep
+/// enough to overflow the stack of an unbounded recursive parser and
+/// abort the process — gets exactly one parseable `parse:` error, and the
+/// same connection then answers a `ping`.
+#[test]
+fn deeply_nested_request_is_one_parse_error_not_an_abort() {
+    let server = serve(&ServerConfig {
+        threads: 1,
+        read_timeout_ms: 25,
+        ..Default::default()
+    })
+    .expect("bind");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(10000)))
+        .expect("timeout");
+    let mut flood = vec![b'['; 500_000];
+    flood.push(b'\n');
+    stream.write_all(&flood).expect("write flood");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("parse error reply");
+    let doc = Json::parse(line.trim()).expect("error reply parses");
+    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+    assert!(
+        doc.get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.starts_with("parse: ")),
+        "{line}"
+    );
+    stream
+        .write_all(b"{\"op\":\"ping\"}\n")
+        .expect("write ping");
+    line.clear();
+    reader.read_line(&mut line).expect("pong");
+    let pong = Json::parse(line.trim()).expect("pong parses");
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    drop(reader);
+    drop(stream);
+    server.shutdown_and_join();
+}
+
+/// The real `betalike-client pipeline` binary with more clients than
+/// server workers finishes: each client closes its serial reference
+/// connection before opening its pipelined one, so no worker stays
+/// pinned to an idle connection while the pipelined ones wait in the
+/// queue.
+#[test]
+fn client_pipeline_with_more_clients_than_workers_completes() {
+    let server = serve(&ServerConfig {
+        threads: 2,
+        read_timeout_ms: 25,
+        ..Default::default()
+    })
+    .expect("bind");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_betalike-client"))
+        .args([
+            "pipeline",
+            "--addr",
+            &server.addr().to_string(),
+            "--clients",
+            "6",
+            "--depth",
+            "32",
+        ])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run betalike-client");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll betalike-client") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("betalike-client pipeline did not finish within 60s (deadlock)");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    let mut stderr = String::new();
+    if let Some(mut pipe) = child.stderr.take() {
+        let _ = pipe.read_to_string(&mut stderr);
+    }
+    assert!(
+        status.success(),
+        "pipeline failed: {status}\nstderr: {stderr}"
+    );
+    server.shutdown_and_join();
 }
 
 /// End-to-end retry proof: the real `betalike-client smoke` binary, run

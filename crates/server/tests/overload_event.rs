@@ -1,29 +1,28 @@
-//! The overload, degraded-mode, and timeout suite (`tests/overload.rs`)
-//! ported to the **event-driven core** (DESIGN.md §15): the same
-//! admission arithmetic — `workers + queue` concurrently open
-//! connections, every arrival beyond that shed with one parseable
-//! retryable `overloaded` line — now enforced by the event loops'
-//! shared admission counter instead of sticky workers; the same
-//! degraded-mode and deadline refusals (the dispatch layer is shared);
-//! idle and mid-request timeouts driven by the loop's tick sweep; the
-//! shutdown-latency contract; and shed behavior with pipelining in the
-//! mix.
+//! Overload events that land *mid-stream* (DESIGN.md §12, §15):
+//! `tests/overload.rs` meets each refusal on a connection's first,
+//! single request; here the same events — a shed, the degraded trip
+//! wire, a publish deadline, idle expiry, a stalled line, shutdown, and
+//! a shed injected after a session already made progress — meet
+//! connections that pipeline batches through the `Conn` machine. Each
+//! test pins that the event answers exactly once, in request order, and
+//! leaves the rest of the batch (or the next connection) served.
 
 use betalike_faults::{ChaosVfs, FaultPlan};
 use betalike_microdata::json::Json;
 use betalike_server::wire::{retryable_error, ERR_OVERLOADED};
-use betalike_server::{
-    serve, Algo, Client, ClientError, CountRequest, DatasetSpec, PublishRequest, ServerConfig,
-};
-use std::io::{BufRead, BufReader, Read, Write};
+use betalike_server::{serve, Algo, CountRequest, DatasetSpec, PublishRequest, ServerConfig};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("betalike-ev-overload-{}-{tag}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "betalike-overload-event-{}-{tag}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -32,104 +31,162 @@ fn synthetic(seed: u64) -> DatasetSpec {
     DatasetSpec::Synthetic { rows: 200, seed }
 }
 
-/// Floods a `workers=2, queue=1` event server: the first three
-/// connections are admitted (the event core's capacity is *admitted
-/// connections*, the same `workers + queue` bound the threaded core
-/// enforces with sticky workers), every arrival beyond that is shed with
-/// one parseable retryable `overloaded` line — never a silent
-/// disconnect — and closing an admitted connection frees its slot.
+/// `doc` as one request line carrying `trace_id`.
+fn tagged(doc: Json, trace: &str) -> String {
+    let mut doc = doc;
+    if let Json::Obj(members) = &mut doc {
+        members.push(("trace_id".to_string(), Json::Str(trace.to_string())));
+    }
+    doc.compact()
+}
+
+fn op(name: &str, trace: &str) -> String {
+    tagged(
+        Json::Obj(vec![("op".to_string(), Json::Str(name.to_string()))]),
+        trace,
+    )
+}
+
+/// Connects with a read timeout, so a missing reply fails the test
+/// instead of hanging it.
+fn connect(addr: std::net::SocketAddr, timeout_ms: u64) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(timeout_ms)))
+        .expect("timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+/// Writes the whole batch in one write, before reading anything.
+fn write_batch(stream: &mut TcpStream, lines: &[String]) {
+    let batch: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    stream.write_all(batch.as_bytes()).expect("write batch");
+}
+
+fn read_doc(reader: &mut BufReader<TcpStream>) -> Json {
+    let mut line = String::new();
+    let n = reader.read_line(&mut line).expect("reply");
+    assert!(n > 0, "connection closed before the reply");
+    Json::parse(line.trim()).unwrap_or_else(|e| panic!("reply parses ({e:?}): {line}"))
+}
+
+/// Reads one reply and checks it answers the request tagged `trace`.
+fn read_traced(reader: &mut BufReader<TcpStream>, trace: &str) -> Json {
+    let doc = read_doc(reader);
+    assert_eq!(
+        doc.get("trace_id").and_then(Json::as_str),
+        Some(trace),
+        "reply out of request order: {}",
+        doc.compact()
+    );
+    doc
+}
+
+fn is_ok(doc: &Json) -> bool {
+    doc.get("ok").and_then(Json::as_bool) == Some(true)
+}
+
+fn assert_retryable(doc: &Json, code: &str) {
+    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        doc.get("code").and_then(Json::as_str),
+        Some(code),
+        "{}",
+        doc.compact()
+    );
+    assert_eq!(doc.get("retryable").and_then(Json::as_bool), Some(true));
+}
+
+fn assert_eof(reader: &mut BufReader<TcpStream>) {
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap_or(0), 0, "{rest}");
+}
+
+/// Floods a 2-worker, queue-of-1 server with connections that each
+/// pipeline a 4-request batch: a shed connection gets exactly *one*
+/// `overloaded` line for its whole batch and then EOF — never one
+/// refusal per request, never a silent disconnect — while the queued
+/// connection's batch is answered in full, in order, once a worker frees.
 #[test]
 fn flood_sheds_with_overloaded_not_disconnects() {
     let server = serve(&ServerConfig {
         threads: 2,
         queue: 1,
         read_timeout_ms: 25,
-        event_loops: 1,
         ..Default::default()
     })
     .expect("bind");
     let addr = server.addr();
+    let batch =
+        |c: usize| -> Vec<String> { (0..4).map(|i| op("ping", &format!("c{c}-{i}"))).collect() };
 
-    // Fill the admission capacity: three connections, each proven
-    // admitted by a served ping.
-    let mut admitted = Vec::new();
-    for i in 0..3 {
-        let mut client = Client::connect(addr).expect("connect");
-        client
-            .ping()
-            .unwrap_or_else(|e| panic!("admitted ping {i}: {e:?}"));
-        admitted.push(client);
+    // Two squatters pin both workers, each proven admitted by a served
+    // batch.
+    let mut squatters = Vec::new();
+    for c in 0..2 {
+        let (mut stream, mut reader) = connect(addr, 5000);
+        write_batch(&mut stream, &batch(c));
+        for i in 0..4 {
+            read_traced(&mut reader, &format!("c{c}-{i}"));
+        }
+        squatters.push((stream, reader));
     }
 
-    // Seven more arrivals: every one must shed.
+    // Eight more pipelining arrivals: one fits the queue, seven shed.
+    let mut arrivals = Vec::new();
+    for c in 2..10 {
+        let (mut stream, reader) = connect(addr, 2000);
+        write_batch(&mut stream, &batch(c));
+        arrivals.push((c, stream, reader));
+    }
     let mut shed_count = 0;
-    for _ in 0..7 {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_millis(2000)))
-            .expect("timeout");
-        stream
-            .write_all(b"{\"op\":\"ping\"}\n")
-            .expect("write ping");
-        let mut reader = BufReader::new(stream);
+    let mut queued = Vec::new();
+    for (c, stream, mut reader) in arrivals {
         let mut line = String::new();
-        reader.read_line(&mut line).expect("shed reply");
-        let doc = Json::parse(line.trim()).expect("shed reply parses");
-        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            doc.get("code").and_then(Json::as_str),
-            Some("overloaded"),
-            "shed reply must carry the stable code: {line}"
-        );
-        assert_eq!(doc.get("retryable").and_then(Json::as_bool), Some(true));
-        // After the error line the server hangs up.
-        let mut rest = String::new();
-        assert_eq!(reader.read_line(&mut rest).unwrap_or(0), 0);
-        shed_count += 1;
-    }
-    assert_eq!(shed_count, 7, "exactly capacity connections may stay");
-
-    // Closing one admitted connection frees its slot: the next arrival
-    // is admitted and served.
-    drop(admitted.remove(0));
-    let mut fresh = Client::connect(addr).expect("reconnect");
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match fresh.ping() {
-            Ok(()) => break,
-            Err(_) if Instant::now() < deadline => {
-                // The loop releases the slot on its next tick; retry.
-                std::thread::sleep(Duration::from_millis(25));
-                fresh = Client::connect(addr).expect("reconnect");
+        match reader.read_line(&mut line) {
+            Ok(n) if n > 0 => {
+                let doc = Json::parse(line.trim()).expect("shed reply parses");
+                assert_retryable(&doc, "overloaded");
+                assert!(doc.get("trace_id").is_none(), "a shed answers no request");
+                assert_eof(&mut reader);
+                shed_count += 1;
             }
-            Err(e) => panic!("freed slot never readmitted: {e:?}"),
+            Ok(_) => panic!("a flooded connection was closed without any reply"),
+            Err(_) => queued.push((c, stream, reader)), // still waiting: queued
         }
     }
+    assert_eq!(shed_count, 7, "exactly queue-capacity connections may wait");
+    assert_eq!(queued.len(), 1);
 
-    // `health` accounts for the sheds (and the gauges are sane). The
-    // health probe itself needs a slot, so free the rest first. The
-    // gauge is a lower bound here: retries in the readmission loop above
-    // that raced the slot release were themselves shed and counted (the
-    // exact flood count, 7, was already asserted reply-by-reply).
-    drop(admitted);
-    drop(fresh);
-    std::thread::sleep(Duration::from_millis(100));
-    let mut client = Client::connect(addr).expect("connect for health");
-    let doc = client.health().expect("health");
-    assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
-    assert_eq!(doc.get("workers").and_then(Json::as_u64), Some(2));
-    assert_eq!(doc.get("event_loops").and_then(Json::as_u64), Some(1));
-    assert_eq!(doc.get("queue_capacity").and_then(Json::as_u64), Some(1));
-    let shed = doc.get("shed").and_then(Json::as_u64).expect("shed gauge");
-    assert!(shed >= 7, "the 7 flood sheds must be counted, saw {shed}");
-    assert_eq!(doc.get("store").and_then(Json::as_str), Some("none"));
-    drop(client);
+    // Freeing a worker admits the queued connection: its whole batch is
+    // answered in request order.
+    drop(squatters.remove(0));
+    let (c, stream, mut reader) = queued.remove(0);
+    stream
+        .set_read_timeout(Some(Duration::from_millis(5000)))
+        .expect("timeout");
+    for i in 0..4 {
+        let doc = read_traced(&mut reader, &format!("c{c}-{i}"));
+        assert_eq!(doc.get("pong").and_then(Json::as_bool), Some(true));
+    }
+    drop((stream, reader));
+    drop(squatters);
+
+    let (mut stream, mut reader) = connect(addr, 5000);
+    write_batch(&mut stream, &[op("health", "h")]);
+    let doc = read_traced(&mut reader, "h");
+    assert_eq!(doc.get("shed").and_then(Json::as_u64), Some(7));
+    assert_eq!(doc.get("queue_depth").and_then(Json::as_u64), Some(0));
+    drop((stream, reader));
     server.shutdown_and_join();
 }
 
-/// A store whose writes persistently fail trips the event server into
-/// read-only degraded mode exactly like the threaded one — the dispatch
-/// layer is shared, and the event core must not bypass it.
+/// The degraded trip wire met inside pipelined batches: the failing
+/// persists answer in order, the refused cold publish is one retryable
+/// `degraded` reply in the middle of a batch whose reads around it are
+/// still served, and a recovering publish clears the state for the very
+/// next request of its batch.
 #[test]
 fn degraded_store_turns_server_read_only_until_recovery() {
     let dir = temp_dir("degraded");
@@ -139,73 +196,92 @@ fn degraded_store_turns_server_read_only_until_recovery() {
         data_dir: Some(dir.clone()),
         vfs: Some(chaos.clone()),
         read_timeout_ms: 25,
-        event_loops: 2,
         ..Default::default()
     })
     .expect("bind");
-    let mut client = Client::connect(server.addr()).expect("connect");
+    let (mut stream, mut reader) = connect(server.addr(), 30_000);
+    let publish = |seed: u64, trace: &str| {
+        tagged(
+            PublishRequest::new(synthetic(seed), Algo::Anatomy).to_json(),
+            trace,
+        )
+    };
 
-    let healthy = client
-        .publish(&PublishRequest::new(synthetic(1), Algo::Anatomy))
-        .expect("healthy publish");
+    write_batch(&mut stream, &[publish(1, "healthy")]);
+    let healthy = read_traced(&mut reader, "healthy");
+    assert!(is_ok(&healthy), "{}", healthy.compact());
+    let handle = healthy
+        .get("handle")
+        .and_then(Json::as_str)
+        .expect("handle")
+        .to_string();
 
+    // The disk goes bad: a batch of fresh publishes all succeed (the
+    // artifacts are resident) while their persists trip the wire.
     chaos.set_plan(FaultPlan::FailWrites);
+    let trips: Vec<String> = (2..=(1 + u64::from(betalike_store::disk::DEGRADED_AFTER)))
+        .map(|seed| publish(seed, &format!("trip-{seed}")))
+        .collect();
+    write_batch(&mut stream, &trips);
     for seed in 2..=(1 + u64::from(betalike_store::disk::DEGRADED_AFTER)) {
-        let reply = client
-            .publish(&PublishRequest::new(synthetic(seed), Algo::Anatomy))
-            .expect("publish succeeds even when its persist fails");
-        assert!(!reply.cached);
+        let doc = read_traced(&mut reader, &format!("trip-{seed}"));
+        assert!(is_ok(&doc), "{}", doc.compact());
+        assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(false));
     }
 
-    let err = client
-        .publish(&PublishRequest::new(synthetic(99), Algo::Anatomy))
-        .expect_err("cold publish in degraded mode must be refused");
-    match &err {
-        ClientError::Retryable { code, .. } => assert_eq!(code, "degraded"),
-        other => panic!("expected a retryable `degraded` refusal, got {other:?}"),
-    }
-    assert!(err.is_retryable());
-
-    let count = client
-        .count(&CountRequest {
-            handle: healthy.handle.clone(),
-            qi_preds: vec![],
-            sa_lo: 0,
-            sa_hi: u32::MAX,
-            exact: false,
-        })
-        .expect("degraded mode still serves counts");
-    assert!(count.estimate > 0.0);
-    let doc = client.health().expect("health");
+    // One batch straddles the refusal: publish refused, reads served.
+    let count = CountRequest {
+        handle,
+        qi_preds: vec![],
+        sa_lo: 0,
+        sa_hi: u32::MAX,
+        exact: false,
+    };
+    write_batch(
+        &mut stream,
+        &[
+            publish(99, "refused"),
+            tagged(count.to_json(), "count"),
+            op("health", "health"),
+            op("ping", "ping"),
+        ],
+    );
+    assert_retryable(&read_traced(&mut reader, "refused"), "degraded");
+    let doc = read_traced(&mut reader, "count");
+    assert!(doc.get("estimate").and_then(Json::as_f64) > Some(0.0));
+    let doc = read_traced(&mut reader, "health");
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("degraded"));
-    assert_eq!(doc.get("store").and_then(Json::as_str), Some("degraded"));
+    assert!(is_ok(&read_traced(&mut reader, "ping")));
 
+    // The disk recovers: the publish goes through and the health probe
+    // right behind it in the same batch already reads `ok`.
     chaos.set_plan(FaultPlan::None);
-    client
-        .publish(&PublishRequest::new(synthetic(99), Algo::Anatomy))
-        .expect("publish after recovery");
-    let doc = client.health().expect("health after recovery");
+    write_batch(
+        &mut stream,
+        &[publish(99, "recovered"), op("health", "after")],
+    );
+    assert!(is_ok(&read_traced(&mut reader, "recovered")));
+    let doc = read_traced(&mut reader, "after");
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
-    drop(client);
+    drop((stream, reader));
     server.shutdown_and_join();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A publish with a tiny `deadline_ms` answers a retryable `deadline`
-/// error while the computation continues detached on the compute pool;
-/// re-requesting collects the finished artifact. The event loop itself
-/// never runs the computation — other connections stay responsive.
+/// A publish with a 1 ms `deadline_ms` at the head of a batch answers a
+/// retryable `deadline` and the request behind it is served at once —
+/// the batch is not held behind the detached computation — while another
+/// connection stays served too; a later batch collects the finished
+/// artifact from the cache.
 #[test]
 fn publish_deadline_cancels_the_request_not_the_computation() {
     let server = serve(&ServerConfig {
         threads: 2,
         read_timeout_ms: 25,
-        event_loops: 1,
         ..Default::default()
     })
     .expect("bind");
-    let mut client = Client::connect(server.addr()).expect("connect");
-
+    let (mut stream, mut reader) = connect(server.addr(), 60_000);
     let request = PublishRequest::new(
         DatasetSpec::Census {
             rows: 8000,
@@ -213,33 +289,43 @@ fn publish_deadline_cancels_the_request_not_the_computation() {
         },
         Algo::Burel,
     );
-    let mut doc = request.to_json();
-    if let Json::Obj(members) = &mut doc {
+    let mut hurried = request.to_json();
+    if let Json::Obj(members) = &mut hurried {
         members.push(("deadline_ms".to_string(), Json::Num(1.0)));
     }
-    let err = client.call(&doc).expect_err("a 1ms deadline must expire");
-    match &err {
-        ClientError::Retryable { code, .. } => assert_eq!(code, "deadline"),
-        other => panic!("expected a retryable `deadline` error, got {other:?}"),
-    }
+    write_batch(
+        &mut stream,
+        &[tagged(hurried, "hurried"), op("ping", "behind")],
+    );
+    assert_retryable(&read_traced(&mut reader, "hurried"), "deadline");
+    assert!(is_ok(&read_traced(&mut reader, "behind")));
 
-    // While the detached publish still runs, the event loop keeps
-    // serving: a second connection's ping answers immediately.
-    let mut other = Client::connect(server.addr()).expect("second connect");
-    other.ping().expect("loop stays responsive during compute");
-    drop(other);
+    let (mut other, mut other_reader) = connect(server.addr(), 5000);
+    write_batch(&mut other, &[op("ping", "other")]);
+    assert!(is_ok(&read_traced(&mut other_reader, "other")));
+    drop((other, other_reader));
 
-    let reply = client
-        .publish(&request)
-        .expect("followup publish collects the background result");
-    assert!(reply.cached, "the detached computation must be reused");
-    drop(client);
+    write_batch(
+        &mut stream,
+        &[tagged(request.to_json(), "again"), op("ping", "done")],
+    );
+    let doc = read_traced(&mut reader, "again");
+    assert_eq!(
+        doc.get("cached").and_then(Json::as_bool),
+        Some(true),
+        "the detached computation must be reused: {}",
+        doc.compact()
+    );
+    assert!(is_ok(&read_traced(&mut reader, "done")));
+    drop((stream, reader));
     server.shutdown_and_join();
 }
 
-/// An idle connection is closed after `idle_timeout_ms` by the loop's
-/// tick sweep — but activity within the window resets the timer, and a
-/// freed slot readmits a new connection.
+/// A one-worker server whose worker is held by a connection that
+/// pipelined a batch and then went quiet: a second connection's batch
+/// waits in the queue, activity on the first restarts its idle timer,
+/// and its expiry frees the slot — the queued batch is then answered in
+/// full and the expired connection reads EOF.
 #[test]
 fn idle_connections_expire_and_free_their_slot() {
     let server = serve(&ServerConfig {
@@ -247,182 +333,159 @@ fn idle_connections_expire_and_free_their_slot() {
         queue: 1,
         read_timeout_ms: 25,
         idle_timeout_ms: 300,
-        event_loops: 1,
         ..Default::default()
     })
     .expect("bind");
-    let mut client = Client::connect(server.addr()).expect("connect");
-    client.ping().expect("first ping");
-    std::thread::sleep(Duration::from_millis(100));
-    client
-        .ping()
-        .expect("activity inside the window resets the timer");
+    let addr = server.addr();
+    let (mut holder, mut holder_reader) = connect(addr, 5000);
+    let lines: Vec<String> = (0..3).map(|i| op("ping", &format!("a{i}"))).collect();
+    write_batch(&mut holder, &lines);
+    for i in 0..3 {
+        read_traced(&mut holder_reader, &format!("a{i}"));
+    }
 
-    std::thread::sleep(Duration::from_millis(900));
+    let (mut waiter, mut waiter_reader) = connect(addr, 50);
+    let lines: Vec<String> = (0..3).map(|i| op("ping", &format!("b{i}"))).collect();
+    write_batch(&mut waiter, &lines);
+    std::thread::sleep(Duration::from_millis(100));
+    let mut line = String::new();
     assert!(
-        client.ping().is_err(),
-        "the idle connection must have been closed"
+        waiter_reader.read_line(&mut line).is_err(),
+        "the queued batch must wait for the worker: {line}"
     );
 
-    // Its admission slot is free again: a new client is served.
-    let mut fresh = Client::connect(server.addr()).expect("reconnect");
-    fresh.ping().expect("slot freed by idle expiry");
-    drop(fresh);
-    drop(client);
+    write_batch(&mut holder, &[op("ping", "a3")]);
+    read_traced(&mut holder_reader, "a3");
+    let restarted = Instant::now();
+
+    waiter
+        .set_read_timeout(Some(Duration::from_millis(5000)))
+        .expect("timeout");
+    for i in 0..3 {
+        read_traced(&mut waiter_reader, &format!("b{i}"));
+    }
+    let waited = restarted.elapsed();
+    assert!(
+        waited >= Duration::from_millis(250),
+        "the slot freed {waited:?} after the holder's last request (idle timeout 300ms)"
+    );
+    assert_eof(&mut holder_reader);
+    drop((waiter, waiter_reader, holder));
     server.shutdown_and_join();
 }
 
-/// A request line that starts but never finishes is answered with a
-/// retryable `deadline` error and closed — a trickling or stalled peer
-/// cannot hold its connection (or admission slot) forever.
+/// Complete lines ahead of a stalled one in the same write are answered
+/// in order; the stalled line then gets the retryable `deadline` error
+/// and the connection closes.
 #[test]
 fn stalled_mid_request_lines_get_a_deadline_error() {
     let server = serve(&ServerConfig {
         threads: 1,
         read_timeout_ms: 25,
         request_timeout_ms: 200,
-        event_loops: 1,
         ..Default::default()
     })
     .expect("bind");
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_millis(5000)))
-        .expect("timeout");
-    // Half a request, never completed.
-    stream.write_all(b"{\"op\":\"pi").expect("partial write");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("deadline reply");
-    let doc = Json::parse(line.trim()).expect("deadline reply parses");
-    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
-    assert_eq!(doc.get("code").and_then(Json::as_str), Some("deadline"));
-    assert_eq!(doc.get("retryable").and_then(Json::as_bool), Some(true));
-    // Then EOF: the connection is gone.
-    let mut rest = Vec::new();
-    assert_eq!(reader.read_to_end(&mut rest).unwrap_or(0), 0);
+    let (mut stream, mut reader) = connect(server.addr(), 5000);
+    let bytes = format!(
+        "{}\n{}\n{{\"op\":\"pi",
+        op("ping", "first"),
+        op("ping", "second")
+    );
+    stream.write_all(bytes.as_bytes()).expect("write");
+    assert!(is_ok(&read_traced(&mut reader, "first")));
+    assert!(is_ok(&read_traced(&mut reader, "second")));
+    let doc = read_doc(&mut reader);
+    assert_retryable(&doc, "deadline");
+    assert_eof(&mut reader);
     drop(stream);
     server.shutdown_and_join();
 }
 
-/// The shutdown-latency contract holds for the event core: loops poll
-/// with a `read_timeout_ms` tick, so shutdown with idle connections
-/// parked on multiple loops completes within a few ticks.
+/// The shutdown-latency contract with pipelining in the mix: each
+/// worker's read loop ticks every `read_timeout_ms`, so shutdown
+/// completes within a few ticks even with one worker parked after a
+/// drained batch and the other parked on a half-received line behind an
+/// answered one; both peers then read EOF.
 #[test]
 fn shutdown_latency_is_bounded_by_the_loop_tick() {
     let server = serve(&ServerConfig {
-        threads: 4,
+        threads: 2,
         read_timeout_ms: 25,
-        event_loops: 2,
         ..Default::default()
     })
     .expect("bind");
-    let mut parked = Vec::new();
-    for _ in 0..4 {
-        let mut client = Client::connect(server.addr()).expect("connect");
-        client.ping().expect("ping");
-        parked.push(client);
+    let (mut drained, mut drained_reader) = connect(server.addr(), 5000);
+    let lines: Vec<String> = (0..8).map(|i| op("ping", &format!("d{i}"))).collect();
+    write_batch(&mut drained, &lines);
+    for i in 0..8 {
+        read_traced(&mut drained_reader, &format!("d{i}"));
     }
+    let (mut partial, mut partial_reader) = connect(server.addr(), 5000);
+    let bytes = format!("{}\n{{\"op\":\"pi", op("ping", "p0"));
+    partial.write_all(bytes.as_bytes()).expect("write");
+    read_traced(&mut partial_reader, "p0");
+
     let started = Instant::now();
     server.shutdown_and_join();
     let elapsed = started.elapsed();
     assert!(
         elapsed < Duration::from_secs(2),
-        "shutdown with parked connections took {elapsed:?} (tick is 25ms)"
+        "shutdown with parked pipelines took {elapsed:?} (tick is 25ms)"
     );
-    drop(parked);
+    assert_eof(&mut drained_reader);
+    assert_eof(&mut partial_reader);
 }
 
-/// Sheds stay parseable while admitted connections are mid-pipeline: a
-/// full-capacity server busy with deep pipelined batches refuses the
-/// next arrival with the exact `overloaded` line, and the pipelines
-/// still complete in order.
-#[test]
-fn sheds_are_parseable_mid_pipeline_and_pipelines_complete() {
-    let server = serve(&ServerConfig {
-        threads: 1,
-        queue: 1,
-        read_timeout_ms: 25,
-        event_loops: 1,
-        ..Default::default()
-    })
-    .expect("bind");
-    let addr = server.addr();
-
-    // Two admitted connections (capacity = 1 worker + 1 queue) each
-    // write a depth-32 pipelined batch without reading yet.
-    let depth = 32;
-    let mut busy = Vec::new();
-    for c in 0..2 {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_millis(10000)))
-            .expect("timeout");
-        let batch: String = (0..depth)
-            .map(|i| format!("{{\"op\":\"ping\",\"trace_id\":\"c{c}-{i}\"}}\n"))
-            .collect();
-        stream.write_all(batch.as_bytes()).expect("write batch");
-        busy.push(stream);
-    }
-
-    // The third arrival sheds mid-pipeline, parseably.
-    let mut extra = TcpStream::connect(addr).expect("connect extra");
-    extra
-        .set_read_timeout(Some(Duration::from_millis(2000)))
-        .expect("timeout");
-    extra.write_all(b"{\"op\":\"ping\"}\n").expect("write ping");
-    let mut reader = BufReader::new(extra);
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("shed reply");
-    let doc = Json::parse(line.trim()).expect("shed reply parses");
-    assert_eq!(doc.get("code").and_then(Json::as_str), Some("overloaded"));
-    assert_eq!(doc.get("retryable").and_then(Json::as_bool), Some(true));
-
-    // Both pipelines drain completely, responses in request order.
-    for (c, stream) in busy.into_iter().enumerate() {
-        let mut reader = BufReader::new(stream);
-        for i in 0..depth {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("pipelined reply");
-            let doc = Json::parse(line.trim()).expect("reply parses");
-            assert_eq!(
-                doc.get("trace_id").and_then(Json::as_str),
-                Some(format!("c{c}-{i}").as_str()),
-                "client {c} response {i} out of order: {line}"
-            );
-        }
-    }
-    server.shutdown_and_join();
-}
-
-/// End-to-end retry proof against the event core: the real
-/// `betalike-client smoke` binary, shed once by a proxy with an injected
-/// `overloaded` line, retries into the event server and exits 0 with
-/// every answer bit-identical.
+/// End-to-end retry with a shed injected *after progress*: a proxy
+/// relays the real `betalike-client smoke` session's first two
+/// exchanges, then answers the third request with an `overloaded` line
+/// and hangs up. The client re-runs the whole (idempotent) smoke on a
+/// fresh connection and exits 0 with every answer bit-identical.
 #[test]
 fn client_smoke_retries_through_an_injected_shed() {
     let server = serve(&ServerConfig {
         threads: 4,
         read_timeout_ms: 25,
-        event_loops: 2,
         ..Default::default()
     })
     .expect("bind");
     let backend = server.addr();
 
+    let relayed = Arc::new(AtomicUsize::new(0));
     let proxy = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
     let proxy_addr = proxy.local_addr().expect("proxy addr");
+    let proxy_relayed = relayed.clone();
     std::thread::spawn(move || {
-        // First connection: read one request, shed it, hang up.
-        if let Ok((stream, _)) = proxy.accept() {
-            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-            let mut line = String::new();
-            let _ = reader.read_line(&mut line);
-            let mut stream = stream;
-            let reply = retryable_error(ERR_OVERLOADED, "injected shed").compact() + "\n";
-            let _ = stream.write_all(reply.as_bytes());
+        // First connection: relay two request/response pairs, then shed.
+        if let Ok((client_side, _)) = proxy.accept() {
+            let Ok(server_side) = TcpStream::connect(backend) else {
+                return;
+            };
+            let mut from_client = BufReader::new(client_side.try_clone().expect("clone"));
+            let mut from_server = BufReader::new(server_side.try_clone().expect("clone"));
+            let (mut to_client, mut to_server) = (client_side, server_side);
+            for exchange in 0..3 {
+                let mut request = String::new();
+                if from_client.read_line(&mut request).unwrap_or(0) == 0 {
+                    return;
+                }
+                if exchange == 2 {
+                    let reply = retryable_error(ERR_OVERLOADED, "injected shed").compact() + "\n";
+                    let _ = to_client.write_all(reply.as_bytes());
+                    break;
+                }
+                let mut response = String::new();
+                let relayed_ok = to_server.write_all(request.as_bytes()).is_ok()
+                    && from_server.read_line(&mut response).unwrap_or(0) > 0
+                    && to_client.write_all(response.as_bytes()).is_ok();
+                if !relayed_ok {
+                    return;
+                }
+                proxy_relayed.fetch_add(1, Ordering::SeqCst);
+            }
         }
-        // Every later connection: transparent pipe to the event server.
+        // Every later connection: transparent pipe to the real server.
         while let Ok((client_side, _)) = proxy.accept() {
             let Ok(server_side) = TcpStream::connect(backend) else {
                 break;
@@ -461,6 +524,11 @@ fn client_smoke_retries_through_an_injected_shed() {
         "smoke through the shedding proxy failed\nstdout: {}\nstderr: {}",
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&output.stderr)
+    );
+    assert_eq!(
+        relayed.load(Ordering::SeqCst),
+        2,
+        "the shed must land after the session made progress"
     );
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(

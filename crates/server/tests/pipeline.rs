@@ -4,22 +4,21 @@
 //! drains, shuffled completion orders — answer its framed requests
 //! through the socketless [`LocalServer`] seam, and assert the bytes the
 //! machine emits are **byte-identical** to what a blocking connection
-//! answering one request at a time would have written. Because both
-//! server cores drive this same machine over the same dispatch function,
-//! equality here is equality of the wire behavior of either core.
+//! answering one request at a time would have written. Because the
+//! server drives this same machine over the same dispatch function,
+//! equality here is equality of its wire behavior.
 //!
 //! The property-based half generates arbitrary request batches × chunk
 //! boundaries × completion permutations × drain granularities and checks
 //! the same contract, plus the pipelining guarantees the docs promise:
 //! responses come back in request order and every `trace_id` pairs 1:1
 //! with its request. TCP tests at the bottom check the `too_large`
-//! request-line bound and event-vs-threaded byte-identity on real
-//! sockets.
+//! request-line bound, pipelined-vs-serial byte-identity, and ordering
+//! of a deep pipeline on real sockets.
 
 use betalike_microdata::json::Json;
 use betalike_server::{
-    serve, Algo, Client, Conn, CountRequest, DatasetSpec, LocalServer, PublishRequest,
-    ServerConfig, MAX_PIPELINE_INFLIGHT,
+    serve, Algo, Client, Conn, CountRequest, DatasetSpec, LocalServer, PublishRequest, ServerConfig,
 };
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -398,98 +397,85 @@ proptest! {
     }
 }
 
-/// The request-line byte bound over real sockets, on **both** cores: a
-/// pipelined good request is answered, the flood gets exactly one
-/// parseable fatal `too_large` line, then the server hangs up — it never
-/// buffers without limit.
+/// The request-line byte bound over real sockets: a pipelined good
+/// request is answered, the flood gets exactly one parseable fatal
+/// `too_large` line, then the server hangs up — it never buffers without
+/// limit.
 #[test]
-fn oversized_lines_are_refused_on_both_cores() {
-    for event_loops in [0usize, 1] {
-        let server = serve(&ServerConfig {
-            threads: 2,
-            read_timeout_ms: 25,
-            event_loops,
-            max_line_bytes: 64,
-            ..Default::default()
-        })
-        .expect("bind");
-        let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_millis(5000)))
-            .expect("timeout");
-        stream
-            .write_all(b"{\"op\":\"ping\",\"trace_id\":\"before\"}\n")
-            .expect("write ping");
-        // A 4 KiB line with no newline in sight: crosses the 64-byte
-        // bound long before any terminator.
-        stream.write_all(&[b'x'; 4096]).expect("write flood");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .expect("pipelined ping answered");
-        let pong = Json::parse(line.trim()).expect("pong parses");
-        assert_eq!(
-            pong.get("trace_id").and_then(Json::as_str),
-            Some("before"),
-            "cores={event_loops}: the pipelined predecessor answers first"
-        );
-        line.clear();
-        reader.read_line(&mut line).expect("too_large refusal");
-        let refusal = Json::parse(line.trim()).expect("refusal parses");
-        assert_eq!(refusal.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            refusal.get("code").and_then(Json::as_str),
-            Some("too_large"),
-            "cores={event_loops}: {line}"
-        );
-        assert!(refusal.get("retryable").is_none());
-        let mut rest = Vec::new();
-        assert_eq!(
-            reader.read_to_end(&mut rest).unwrap_or(1),
-            0,
-            "cores={event_loops}: the connection must close after the refusal"
-        );
-        drop(stream);
-        server.shutdown_and_join();
-    }
+fn oversized_lines_are_refused_over_tcp() {
+    let server = serve(&ServerConfig {
+        threads: 2,
+        read_timeout_ms: 25,
+        max_line_bytes: 64,
+        ..Default::default()
+    })
+    .expect("bind");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(5000)))
+        .expect("timeout");
+    stream
+        .write_all(b"{\"op\":\"ping\",\"trace_id\":\"before\"}\n")
+        .expect("write ping");
+    // A 4 KiB line with no newline in sight: crosses the 64-byte bound
+    // long before any terminator.
+    stream.write_all(&[b'x'; 4096]).expect("write flood");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("pipelined ping answered");
+    let pong = Json::parse(line.trim()).expect("pong parses");
+    assert_eq!(
+        pong.get("trace_id").and_then(Json::as_str),
+        Some("before"),
+        "the pipelined predecessor answers first"
+    );
+    line.clear();
+    reader.read_line(&mut line).expect("too_large refusal");
+    let refusal = Json::parse(line.trim()).expect("refusal parses");
+    assert_eq!(refusal.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        refusal.get("code").and_then(Json::as_str),
+        Some("too_large"),
+        "{line}"
+    );
+    assert!(refusal.get("retryable").is_none());
+    let mut rest = Vec::new();
+    assert_eq!(
+        reader.read_to_end(&mut rest).unwrap_or(1),
+        0,
+        "the connection must close after the refusal"
+    );
+    drop(stream);
+    server.shutdown_and_join();
 }
 
-/// Event-vs-threaded byte-identity over real sockets: the same batch,
-/// pipelined at full depth against the event core and served serially by
-/// the threaded core, answers identical bytes — publish, count, audit,
-/// verify, ping, datasets, and an error, trace_ids echoed throughout.
+/// Pipelined-vs-serial byte-identity over real sockets: the same batch,
+/// written at full depth on one connection and sent one call at a time
+/// on another, answers identical bytes — publish, count, audit, verify,
+/// ping, datasets, and an error, trace_ids echoed throughout.
 #[test]
-fn event_core_answers_byte_identically_to_the_threaded_core_over_tcp() {
-    let threaded = serve(&ServerConfig {
+fn pipelined_batches_answer_byte_identically_to_serial_calls_over_tcp() {
+    let server = serve(&ServerConfig {
         threads: 2,
         read_timeout_ms: 25,
         ..Default::default()
     })
-    .expect("bind threaded");
-    let event = serve(&ServerConfig {
-        threads: 2,
-        read_timeout_ms: 25,
-        event_loops: 2,
-        ..Default::default()
-    })
-    .expect("bind event");
+    .expect("bind");
 
     let publish = PublishRequest::new(spec(), Algo::Anatomy)
         .to_json()
         .compact();
-    // Warm both artifact caches with the same probe publish so the
-    // batch's publish answers `cached: true` on both servers (the handle
-    // is content-addressed, so both name the same artifact).
-    let mut handle = String::new();
-    for server in [&threaded, &event] {
+    // Warm the artifact cache with a probe publish so the batch's
+    // publishes answer `cached: true` in both transcripts.
+    let handle = {
         let mut probe = Client::connect(server.addr()).expect("connect probe");
-        handle = probe
+        probe
             .publish(&PublishRequest::new(spec(), Algo::Anatomy))
             .expect("probe publish")
-            .handle;
-        drop(probe);
-    }
+            .handle
+    };
 
     let lines: Vec<String> = vec![
         publish.clone(),
@@ -508,44 +494,40 @@ fn event_core_answers_byte_identically_to_the_threaded_core_over_tcp() {
         ])
         .compact(),
         with_trace(count_doc("no-such-handle"), "c2"),
-        publish, // cached on both: the probe warmed each cache
+        publish,
     ];
 
-    // Serial over the threaded core: one call, one reply, in turn.
-    let mut serial = Client::connect(threaded.addr()).expect("connect serial");
+    // Serial: one call, one reply, in turn.
+    let mut serial = Client::connect(server.addr()).expect("connect serial");
     let expected: Vec<String> = lines
         .iter()
         .map(|l| serial.call_raw(l).expect("serial call"))
         .collect();
     drop(serial);
 
-    // Pipelined at full depth over the event core.
-    let mut pipelined = Client::connect(event.addr()).expect("connect pipelined");
+    // Pipelined: the whole batch on the wire before the first read.
+    let mut pipelined = Client::connect(server.addr()).expect("connect pipelined");
     let got = pipelined.pipeline_raw(&lines).expect("pipeline");
     drop(pipelined);
 
     assert_eq!(got.len(), expected.len());
     for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-        assert_eq!(g, e, "response {i} diverged between the cores");
+        assert_eq!(g, e, "response {i} diverged between pipelined and serial");
     }
-    threaded.shutdown_and_join();
-    event.shutdown_and_join();
+    server.shutdown_and_join();
 }
 
-/// Pipelining deeper than the per-connection in-flight cap neither
-/// deadlocks nor reorders: 3 × `MAX_PIPELINE_INFLIGHT` pings in one
-/// write come back as exactly that many pongs, trace_ids in order —
-/// the loop parks reads while full and resumes as slots free.
+/// A deep pipeline neither deadlocks nor reorders: 192 pings in one write
+/// come back as exactly 192 pongs, trace_ids in request order.
 #[test]
-fn pipelining_past_the_inflight_cap_stays_ordered() {
+fn deep_pipelines_stay_ordered() {
     let server = serve(&ServerConfig {
         threads: 2,
         read_timeout_ms: 25,
-        event_loops: 1,
         ..Default::default()
     })
     .expect("bind");
-    let depth = MAX_PIPELINE_INFLIGHT * 3;
+    let depth = 192;
     let lines: Vec<String> = (0..depth)
         .map(|i| with_trace(ping_doc(), &format!("deep-{i}")))
         .collect();
