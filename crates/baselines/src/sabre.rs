@@ -71,7 +71,7 @@ impl SabreConfig {
 /// Shared input validation of [`sabre`] / [`sabre_with_keys`].
 fn validate(table: &Table, qi: &[usize], sa: usize, cfg: &SabreConfig) -> Result<()> {
     if !(cfg.t > 0.0 && cfg.t <= 1.0 && cfg.t.is_finite()) {
-        return Err(Error::BadBeta(cfg.t)); // reuse the "bad threshold" variant
+        return Err(Error::BadT(cfg.t));
     }
     let arity = table.schema().arity();
     if sa >= arity {
@@ -337,8 +337,11 @@ mod tests {
     #[test]
     fn input_validation() {
         let t = random_table(&SyntheticConfig::default());
-        assert!(sabre(&t, &[0, 1], 2, &SabreConfig::new(0.0)).is_err());
-        assert!(sabre(&t, &[0, 1], 2, &SabreConfig::new(f64::NAN)).is_err());
+        for bad in [0.0, -1.0, 1.5, f64::NAN] {
+            let err = sabre(&t, &[0, 1], 2, &SabreConfig::new(bad)).unwrap_err();
+            assert!(matches!(err, Error::BadT(_)), "t = {bad}: {err:?}");
+            assert!(err.to_string().starts_with("t must"), "t = {bad}: {err}");
+        }
         assert!(sabre(&t, &[], 2, &SabreConfig::new(0.1)).is_err());
         assert!(sabre(&t, &[0, 2], 2, &SabreConfig::new(0.1)).is_err());
         assert!(sabre(&t, &[0], 9, &SabreConfig::new(0.1)).is_err());

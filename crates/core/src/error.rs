@@ -12,6 +12,8 @@ pub enum Error {
     EmptyTable,
     /// The β threshold was not strictly positive or not finite.
     BadBeta(f64),
+    /// The t-closeness threshold was not finite or outside `(0, 1]`.
+    BadT(f64),
     /// The QI set was invalid (empty, out of bounds, duplicated, or
     /// containing the SA).
     BadQi(String),
@@ -63,6 +65,7 @@ impl fmt::Display for Error {
         match self {
             Error::EmptyTable => write!(f, "input table has no rows"),
             Error::BadBeta(b) => write!(f, "beta must be finite and > 0, got {b}"),
+            Error::BadT(t) => write!(f, "t must be finite and within (0, 1], got {t}"),
             Error::BadQi(msg) => write!(f, "invalid QI set: {msg}"),
             Error::BadSa { index, arity } => {
                 write!(f, "SA index {index} out of bounds (arity {arity})")
@@ -98,6 +101,7 @@ mod tests {
     fn display_messages() {
         assert!(Error::EmptyTable.to_string().contains("no rows"));
         assert!(Error::BadBeta(-1.0).to_string().contains("-1"));
+        assert!(Error::BadT(-1.0).to_string().starts_with("t must"));
         let v = Error::Violation(Violation {
             ec: 3,
             value: 7,

@@ -57,7 +57,6 @@ fn deleting_a_suppression_resurfaces_its_finding_with_rule_and_span() {
     let suppressed = [
         ("crates/server/src/artifact.rs", "P1"),
         ("crates/server/src/persist.rs", "P1"),
-        ("crates/bench/src/bin/perf.rs", "D3"),
     ];
     for (path, rule) in suppressed {
         let text = std::fs::read_to_string(root.join(path)).expect("readable");

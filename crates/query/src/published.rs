@@ -76,8 +76,8 @@ impl PublishedAnswerer {
     }
 
     /// [`PublishedAnswerer::generalized`] with the catalog optional —
-    /// `catalog: false` keeps only the scanning paths (benchmarking, and
-    /// serving with `--no-catalog`).
+    /// `catalog: false` keeps only the scanning paths, the reference the
+    /// equivalence tests and benchmarks compare the catalog against.
     pub fn generalized_opt(source: Arc<Table>, partition: &Partition, catalog: bool) -> Self {
         let view = GeneralizedView::new(&source, partition);
         let catalog = catalog.then(|| Arc::new(Catalog::for_partition(&source, partition)));
@@ -242,7 +242,7 @@ impl PublishedAnswerer {
 
     /// [`PublishedAnswerer::estimate`] forced through the row-scanning
     /// free functions, ignoring the catalog — the equivalence tests and
-    /// the `perf` crossover benchmark compare against this.
+    /// the repository benchmark's answer check compare against this.
     ///
     /// # Errors
     ///

@@ -58,9 +58,10 @@ impl Artifact {
         Self::publish_opt(registry, request, true)
     }
 
-    /// [`Artifact::publish`] with the aggregate catalog optional. A server
-    /// started with `--no-catalog` passes `false` and serves every count
-    /// through the scan path; answers are bit-identical either way.
+    /// [`Artifact::publish`] with the aggregate catalog optional. With
+    /// `false` every count goes through the scan path — the reference the
+    /// tests and the repository benchmark compare the served answers
+    /// against; answers are bit-identical either way.
     ///
     /// # Errors
     ///

@@ -4,7 +4,7 @@
 //! betalike-serve [--addr HOST:PORT] [--threads N] [--preload SPEC]
 //!                [--data-dir DIR] [--queue N] [--read-timeout-ms MS]
 //!                [--idle-timeout-ms MS] [--request-timeout-ms MS]
-//!                [--no-catalog] [--result-cache N] [--no-obs]
+//!                [--result-cache N] [--no-obs]
 //!                [--log-level LEVEL] [--log-json] [--slow-query-ms MS]
 //!                [--max-line-bytes N]
 //! ```
@@ -34,11 +34,6 @@
 //!   (0 = never, the default); `--request-timeout-ms` bounds how long a
 //!   started request line may take to finish (0 = never), answering a
 //!   retryable `deadline` error on expiry. See DESIGN.md §12.
-//! * `--no-catalog` publishes and restores artifacts without aggregate
-//!   catalogs, forcing every `count` through the row-scan path — answers
-//!   are bit-identical, only slower (the A/B the `perf catalog` benchmark
-//!   measures; see DESIGN.md §13 and the README "Query performance"
-//!   quickstart).
 //! * `--result-cache` caps the per-process `count` result cache in
 //!   entries (default 1024; `0` disables it). Hits replay the stored
 //!   response byte-identically; `health` reports hit/miss/size gauges.
@@ -60,7 +55,8 @@
 //! Each timing/queue flag also reads an environment fallback when the
 //! flag is absent: `BETALIKE_READ_TIMEOUT_MS`, `BETALIKE_IDLE_TIMEOUT_MS`,
 //! `BETALIKE_REQUEST_TIMEOUT_MS`, `BETALIKE_QUEUE`,
-//! `BETALIKE_RESULT_CACHE`, `BETALIKE_MAX_LINE_BYTES` — so a supervisor
+//! `BETALIKE_RESULT_CACHE`, `BETALIKE_SLOW_QUERY_MS`,
+//! `BETALIKE_MAX_LINE_BYTES` — so a supervisor
 //! can retune a deployment without editing its unit files.
 //!
 //! The process runs until a client sends `{"op":"shutdown"}`.
@@ -126,7 +122,6 @@ fn main() {
             "--idle-timeout-ms" => idle_timeout = Some(value("--idle-timeout-ms")),
             "--request-timeout-ms" => request_timeout = Some(value("--request-timeout-ms")),
             "--queue" => queue = Some(value("--queue")),
-            "--no-catalog" => cfg.catalog = false,
             "--result-cache" => result_cache = Some(value("--result-cache")),
             "--no-obs" => cfg.obs = false,
             "--log-level" => {
@@ -144,7 +139,7 @@ fn main() {
                 eprintln!(
                     "usage: betalike-serve [--addr HOST:PORT] [--threads N] [--preload SPEC] \
                      [--data-dir DIR] [--queue N] [--read-timeout-ms MS] [--idle-timeout-ms MS] \
-                     [--request-timeout-ms MS] [--no-catalog] [--result-cache N] [--no-obs] \
+                     [--request-timeout-ms MS] [--result-cache N] [--no-obs] \
                      [--log-level LEVEL] [--log-json] [--slow-query-ms MS] [--max-line-bytes N]"
                 );
                 std::process::exit(2);

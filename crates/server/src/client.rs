@@ -1,6 +1,6 @@
 //! A tiny blocking client for the wire protocol — what the integration
-//! tests, the perf harness's `serve` mode, and the `betalike-client`
-//! binary all speak through.
+//! tests, the repository benchmark's load generator, and the
+//! `betalike-client` binary all speak through.
 //!
 //! Retry-aware: the server's *retryable* refusals (`overloaded`,
 //! `degraded`, `deadline` — see DESIGN.md §12) surface as

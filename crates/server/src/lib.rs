@@ -50,6 +50,6 @@ pub mod wire;
 
 pub use client::{retry_call, with_retries, Client, ClientError, CountReply, PublishReply};
 pub use conn::{Conn, FramedRequest, DEFAULT_MAX_LINE_BYTES};
-pub use registry::{Dataset, DatasetSpec, Registry};
+pub use registry::{Dataset, DatasetSpec, Registry, MAX_DATASET_ROWS};
 pub use server::{serve, LocalServer, ServerConfig, ServerHandle};
 pub use wire::{Algo, CountRequest, PublishRequest};

@@ -116,8 +116,9 @@ pub fn snapshot(artifact: &Artifact) -> PublicationSnapshot {
 }
 
 /// [`restore`] with the aggregate catalog optional (mirroring
-/// [`Artifact::publish_opt`]); a server running `--no-catalog` restores
-/// scan-only answerers and ignores any stored catalog descriptor.
+/// [`Artifact::publish_opt`]); `false` restores a scan-only answerer and
+/// ignores any stored catalog descriptor — the scan reference served
+/// answers are checked against.
 ///
 /// # Errors
 ///

@@ -17,6 +17,11 @@ use betalike_microdata::Table;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+/// Largest `rows` a generator-backed [`DatasetSpec`] accepts: twice the
+/// paper's 500k-tuple CENSUS. The generators pre-allocate per row, so an
+/// unbounded count on a request line could ask for any amount of memory.
+pub const MAX_DATASET_ROWS: usize = 1_000_000;
+
 /// A lazily-populated, thread-safe map: each key's value is computed at
 /// most once (losers of an initialization race block on the winner), and
 /// lookups after that are a lock + clone.
@@ -128,8 +133,8 @@ impl DatasetSpec {
     ///
     /// # Errors
     ///
-    /// Returns a wire-level message on an unknown generator or malformed
-    /// field.
+    /// Returns a wire-level message on an unknown generator, a malformed
+    /// field, or a `rows` outside `1..=`[`MAX_DATASET_ROWS`].
     pub fn from_json(doc: &Json) -> Result<Self, String> {
         let name = doc
             .get("dataset")
@@ -179,20 +184,30 @@ impl DatasetSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the unknown generator.
+    /// Returns a message naming the unknown generator or the out-of-range
+    /// `rows`.
     pub fn from_parts(name: &str, rows: Option<usize>, seed: u64) -> Result<Self, String> {
         Self::build(name, rows, seed)
     }
 
     fn build(name: &str, rows: Option<usize>, seed: u64) -> Result<Self, String> {
+        let bounded = |rows: usize| {
+            if (1..=MAX_DATASET_ROWS).contains(&rows) {
+                Ok(rows)
+            } else {
+                Err(format!(
+                    "`rows` must be within 1..={MAX_DATASET_ROWS}, got {rows}"
+                ))
+            }
+        };
         match name {
             "census" => Ok(DatasetSpec::Census {
-                rows: rows.unwrap_or(10_000),
+                rows: bounded(rows.unwrap_or(10_000))?,
                 seed,
             }),
             "patients" => Ok(DatasetSpec::Patients),
             "synthetic" => Ok(DatasetSpec::Synthetic {
-                rows: rows.unwrap_or(1_000),
+                rows: bounded(rows.unwrap_or(1_000))?,
                 seed,
             }),
             other => Err(format!(
@@ -316,6 +331,17 @@ mod tests {
         assert!(DatasetSpec::parse_cli("adult").is_err());
         assert!(DatasetSpec::parse_cli("census:x").is_err());
         assert!(DatasetSpec::parse_cli("census:1:2:3").is_err());
+    }
+
+    #[test]
+    fn row_counts_are_bounded() {
+        for cli in ["census:0", "synthetic:0", "census:1000001"] {
+            let err = DatasetSpec::parse_cli(cli).unwrap_err();
+            assert!(err.contains("`rows`"), "`{cli}`: {err}");
+        }
+        let max = format!("census:{MAX_DATASET_ROWS}");
+        assert!(DatasetSpec::parse_cli(&max).is_ok());
+        assert!(DatasetSpec::from_parts("census", Some(0), 42).is_err());
     }
 
     #[test]

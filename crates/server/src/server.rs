@@ -118,11 +118,6 @@ pub struct ServerConfig {
     /// [`betalike_faults::ChaosVfs`] here lets tests drive the server into
     /// degraded mode deterministically.
     pub vfs: Option<Arc<dyn Vfs>>,
-    /// Whether published artifacts carry an aggregate catalog
-    /// (`betalike_query::Catalog`) so `count` resolves from per-group
-    /// summaries instead of row scans. Answers are bit-identical either
-    /// way (the `--no-catalog` flag sets this `false` for A/B timing).
-    pub catalog: bool,
     /// Capacity (entries) of the per-process `count` result cache; `0`
     /// disables it. A hit replays the stored response document, so hit
     /// and miss responses are byte-identical. Entries are invalidated per
@@ -165,7 +160,6 @@ impl Default for ServerConfig {
             request_timeout_ms: 0,
             queue: 0,
             vfs: None,
-            catalog: true,
             result_cache: DEFAULT_RESULT_CACHE,
             obs: true,
             log_level: Level::Warn,
@@ -194,7 +188,7 @@ struct State {
     /// `active_connections` in one coherent registry transition.
     obs: ServerObs,
     /// Plan-classification counters shared by every artifact's catalog.
-    catalog_stats: CatalogStats,
+    plan_stats: CatalogStats,
     /// Handles a detached background publisher is currently computing
     /// (deadline-bounded publishes claim here so at most one background
     /// thread runs per handle).
@@ -202,8 +196,6 @@ struct State {
     read_timeout_ms: u64,
     idle_timeout_ms: u64,
     request_timeout_ms: u64,
-    /// Whether publishes/restores derive aggregate catalogs.
-    catalog: bool,
     /// The `count` result cache (capacity 0 = disabled).
     results: ResultCache,
     /// Request-line byte bound (`0` → the [`Conn`] default, 1 MiB).
@@ -277,7 +269,7 @@ fn build_state(cfg: &ServerConfig, addr: SocketAddr) -> std::io::Result<Arc<Stat
         cfg.log_json,
         cfg.slow_query_ms,
     );
-    let catalog_stats = CatalogStats {
+    let plan_stats = CatalogStats {
         disjoint: metrics.counter("catalog_plan_disjoint"),
         full_cover: metrics.counter("catalog_plan_full_cover"),
         straddle: metrics.counter("catalog_plan_straddle"),
@@ -326,12 +318,11 @@ fn build_state(cfg: &ServerConfig, addr: SocketAddr) -> std::io::Result<Arc<Stat
         workers: threads,
         queue_capacity: queue,
         obs,
-        catalog_stats,
+        plan_stats,
         inflight: Mutex::new(BTreeSet::new()),
         read_timeout_ms: cfg.read_timeout_ms,
         idle_timeout_ms: cfg.idle_timeout_ms,
         request_timeout_ms: cfg.request_timeout_ms,
-        catalog: cfg.catalog,
         results: ResultCache::new(cfg.result_cache),
         max_line_bytes: cfg.max_line_bytes,
     });
@@ -712,13 +703,7 @@ fn dispatch(
         "ping" => Ok(ok_response(vec![("pong".into(), Json::Bool(true))])),
         "datasets" => {
             let datasets = state.registry.loaded().into_iter().map(Json::Str).collect();
-            let published = state
-                .artifacts
-                .keys()
-                .into_iter()
-                .filter(|h| matches!(state.artifacts.get(h), Some(Ok(_))))
-                .map(Json::Str)
-                .collect();
+            let published = resident_handles(state).into_iter().map(Json::Str).collect();
             let mut members = vec![
                 ("datasets".into(), Json::Arr(datasets)),
                 ("published".into(), Json::Arr(published)),
@@ -806,7 +791,6 @@ fn health(state: &Arc<State>) -> Json {
             "request_timeout_ms".to_string(),
             Json::Num(state.request_timeout_ms as f64),
         ),
-        ("catalog".to_string(), Json::Bool(state.catalog)),
         (
             "result_cache_capacity".to_string(),
             Json::Num(state.results.capacity() as f64),
@@ -881,10 +865,21 @@ fn metrics(state: &Arc<State>) -> Json {
     ])
 }
 
-/// Mirrors the resident-artifact cache size into its gauge; call after
-/// any `artifacts.get_or_init`.
+/// Handles of the artifacts held in memory, sorted. The artifact cache
+/// also remembers failed publishes (as `Err`s); those are not artifacts.
+fn resident_handles(state: &State) -> Vec<String> {
+    state
+        .artifacts
+        .keys()
+        .into_iter()
+        .filter(|h| matches!(state.artifacts.get(h), Some(Ok(_))))
+        .collect()
+}
+
+/// Mirrors the resident-artifact count into its gauge; call after any
+/// `artifacts.get_or_init`.
 fn sync_artifacts(state: &Arc<State>) {
-    let len = state.artifacts.keys().len().min(i64::MAX as usize) as i64;
+    let len = resident_handles(state).len().min(i64::MAX as usize) as i64;
     state.obs.artifacts_resident.set(len);
 }
 
@@ -933,8 +928,8 @@ fn publish(state: &Arc<State>, doc: &Json, trace: Option<&Trace>) -> Result<Json
             Artifact::publish_with(
                 &state.registry,
                 &request,
-                state.catalog,
-                Some(state.catalog_stats.clone()),
+                true,
+                Some(state.plan_stats.clone()),
             )
         })
     };
@@ -981,8 +976,8 @@ fn publish_with_deadline(
                     Artifact::publish_with(
                         &state.registry,
                         &request,
-                        state.catalog,
-                        Some(state.catalog_stats.clone()),
+                        true,
+                        Some(state.plan_stats.clone()),
                     )
                 });
                 sync_artifacts(&state);
@@ -1193,30 +1188,28 @@ fn resident_or_stored(state: &Arc<State>, handle: &str) -> Result<Option<Arc<Art
     };
     match store.load(handle) {
         Ok(None) => Ok(None),
-        Ok(Some(snap)) => match crate::persist::restore_with(
-            snap,
-            state.catalog,
-            Some(state.catalog_stats.clone()),
-        ) {
-            Ok(restored) => {
-                // Racing loaders resolve to one inserted artifact.
-                let artifact = state.artifacts.get_or_init(handle, || Ok(restored));
-                sync_artifacts(state);
-                Ok(Some(artifact?))
-            }
-            Err(e) => {
-                let _ = store.quarantine(handle);
-                state.results.invalidate(handle);
-                state.obs.sync_cache(&state.results.stats());
-                state.obs.logger.error(
-                    "stored artifact failed to restore; quarantined",
-                    &[("handle", handle.into()), ("error", e.as_str().into())],
-                );
-                Err(format!(
+        Ok(Some(snap)) => {
+            match crate::persist::restore_with(snap, true, Some(state.plan_stats.clone())) {
+                Ok(restored) => {
+                    // Racing loaders resolve to one inserted artifact.
+                    let artifact = state.artifacts.get_or_init(handle, || Ok(restored));
+                    sync_artifacts(state);
+                    Ok(Some(artifact?))
+                }
+                Err(e) => {
+                    let _ = store.quarantine(handle);
+                    state.results.invalidate(handle);
+                    state.obs.sync_cache(&state.results.stats());
+                    state.obs.logger.error(
+                        "stored artifact failed to restore; quarantined",
+                        &[("handle", handle.into()), ("error", e.as_str().into())],
+                    );
+                    Err(format!(
                     "stored artifact `{handle}` was unusable and has been quarantined; republish to recompute"
                 ))
+                }
             }
-        },
+        }
         // A transient I/O failure (EMFILE under load, a momentary disk
         // hiccup) is not evidence of corruption — report it as retryable
         // and leave the file alone. A *missing* file is different: the

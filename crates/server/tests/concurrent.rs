@@ -2,9 +2,11 @@
 //! concurrent clients, byte-identical answers.
 
 use betalike_microdata::json::Json;
-use betalike_query::{generate_workload, PublishedAnswerer, WorkloadConfig};
+use betalike_query::{generate_workload, AggQuery, PublishedAnswerer, WorkloadConfig};
+use betalike_server::artifact::Artifact;
 use betalike_server::{
-    serve, Algo, Client, ClientError, CountRequest, DatasetSpec, PublishRequest, ServerConfig,
+    persist, serve, Algo, Client, ClientError, CountRequest, DatasetSpec, PublishRequest, Registry,
+    ServerConfig,
 };
 use std::sync::Arc;
 
@@ -34,13 +36,12 @@ fn census_request(algo: Algo) -> PublishRequest {
     )
 }
 
-/// The raw count-request lines (and a serial client's responses) the
-/// concurrency test replays.
-fn workload_lines(handle: &str) -> Vec<String> {
+/// The count queries the tests replay.
+fn workload() -> Vec<AggQuery> {
     let table = betalike_microdata::census::generate(
         &betalike_microdata::census::CensusConfig::new(ROWS, 3),
     );
-    let queries = generate_workload(
+    generate_workload(
         &table,
         &WorkloadConfig {
             qi_pool: vec![0, 1, 2],
@@ -50,8 +51,12 @@ fn workload_lines(handle: &str) -> Vec<String> {
             num_queries: 25,
             seed: 9,
         },
-    );
-    queries
+    )
+}
+
+/// [`workload`] as raw exact-count request lines against `handle`.
+fn workload_lines(handle: &str) -> Vec<String> {
+    workload()
         .iter()
         .map(|q| {
             CountRequest {
@@ -215,16 +220,16 @@ fn audit_and_every_algo_roundtrip() {
 }
 
 #[test]
-fn result_cache_and_no_catalog_are_byte_transparent() {
-    // Server A: defaults (catalogs on, result cache on). Server B: the
-    // `--no-catalog --result-cache 0` configuration. The same workload
-    // must read back byte-identical response lines from both servers —
-    // and from a replay on A, where every line is a cache hit.
+fn result_cache_on_and_off_answer_byte_identically() {
+    // Server A: defaults (result cache on). Server B: `--result-cache 0`.
+    // The same workload must read back byte-identical response lines from
+    // both servers — and from a replay on A, where every line is a cache
+    // hit — and the served numbers must equal, to the bit, a scan-only
+    // restore of the same publication.
     let server_a = start();
     let server_b = serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         threads: 2,
-        catalog: false,
         result_cache: 0,
         ..Default::default()
     })
@@ -232,21 +237,37 @@ fn result_cache_and_no_catalog_are_byte_transparent() {
 
     let mut a = Client::connect(server_a.addr()).unwrap();
     let mut b = Client::connect(server_b.addr()).unwrap();
-    let handle = a.publish(&census_request(Algo::Burel)).unwrap().handle;
-    assert_eq!(
-        b.publish(&census_request(Algo::Burel)).unwrap().handle,
-        handle
-    );
+    let request = census_request(Algo::Burel);
+    let handle = a.publish(&request).unwrap().handle;
+    assert_eq!(b.publish(&request).unwrap().handle, handle);
 
     let lines = workload_lines(&handle);
     let first: Vec<String> = lines.iter().map(|l| a.call_raw(l).unwrap()).collect();
     let replay: Vec<String> = lines.iter().map(|l| a.call_raw(l).unwrap()).collect();
-    let scan: Vec<String> = lines.iter().map(|l| b.call_raw(l).unwrap()).collect();
+    let uncached: Vec<String> = lines.iter().map(|l| b.call_raw(l).unwrap()).collect();
     assert_eq!(first, replay, "cache hits must replay the miss bytes");
-    assert_eq!(first, scan, "scan-only answers must match the catalog path");
+    assert_eq!(first, uncached, "the cache must not change a byte");
+
+    let artifact = Artifact::publish(&Registry::new(), &request).unwrap();
+    let scan = persist::restore_opt(persist::snapshot(&artifact), false).unwrap();
+    assert!(scan.answerer.catalog().is_none(), "a scan-only restore");
+    for ((query, line), served) in workload().iter().zip(&lines).zip(&first) {
+        let served = Json::parse(served).unwrap();
+        let number = |key: &str| served.get(key).and_then(Json::as_f64).unwrap();
+        let estimate = scan.answerer.estimate(query).unwrap();
+        assert_eq!(
+            number("estimate").to_bits(),
+            estimate.to_bits(),
+            "estimate of {line}"
+        );
+        assert_eq!(
+            number("exact"),
+            scan.answerer.exact(query) as f64,
+            "exact of {line}"
+        );
+    }
 
     let health_a = a.health().unwrap();
-    assert_eq!(health_a.get("catalog").unwrap().as_bool(), Some(true));
     let hits = health_a.get("result_cache_hits").unwrap().as_u64().unwrap();
     assert!(
         hits >= lines.len() as u64,
@@ -254,7 +275,6 @@ fn result_cache_and_no_catalog_are_byte_transparent() {
     );
     assert!(health_a.get("result_cache_size").unwrap().as_u64().unwrap() > 0);
     let health_b = b.health().unwrap();
-    assert_eq!(health_b.get("catalog").unwrap().as_bool(), Some(false));
     assert_eq!(
         health_b
             .get("result_cache_capacity")
