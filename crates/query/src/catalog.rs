@@ -10,9 +10,10 @@
 //!   attributes this is the *published* box, which conservatively contains
 //!   the raw extent, so one extent table serves pruning for both exact
 //!   counts and estimates);
-//! * the sorted value codes of every covered attribute (per-group SA
-//!   histograms in sorted form), so one straddling predicate resolves by
-//!   binary search in `O(log |group|)`;
+//! * prefix counts of every covered attribute over that extent (per-group
+//!   SA histograms in cumulative form), so one straddling predicate — and
+//!   every surviving EC of a generalized estimate — resolves with two
+//!   loads and a subtraction, `O(1)`;
 //!
 //! plus, per covered attribute, a global **prefix-sum** table over the
 //! attribute's domain (single-predicate queries answer in `O(1)`) and
@@ -77,8 +78,8 @@ pub enum GroupingSpec {
 
 /// The persistable description of a [`Catalog`]: the derivation version,
 /// the grouping, and the covered attributes (a cross-check against the
-/// rebuilt catalog). Everything heavy — extents, sorted codes, posting
-/// lists, prefix sums — is rebuilt deterministically on restore.
+/// rebuilt catalog). Everything heavy — extents, per-group prefix counts,
+/// posting lists, prefix sums — is rebuilt deterministically on restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatalogSpec {
     /// The [`CATALOG_VERSION`] the catalog was derived under.
@@ -116,8 +117,8 @@ pub struct CatalogStats {
     /// Groups counted whole from their summary (every covered predicate
     /// spans the group), and prefix-sum fast-path answers.
     pub full_cover: Arc<Counter>,
-    /// Groups resolved by binary search over one straddling predicate's
-    /// sorted codes (estimates count their per-group SA search here).
+    /// Groups resolved from one straddling predicate's per-group prefix
+    /// counts (estimates count their per-group SA lookup here).
     pub straddle: Arc<Counter>,
     /// Groups that fell back to scanning their rows.
     pub residual_scan: Arc<Counter>,
@@ -181,13 +182,22 @@ pub struct Catalog {
     grouping: GroupingSpec,
     /// Row ids per group.
     groups: Vec<Vec<RowId>>,
-    /// `extents[g][ci]`: the value extent of covered attribute `ci` in
-    /// group `g` — the published box for generalized QI attributes, the
-    /// raw code extent otherwise.
-    extents: Vec<Vec<(u32, u32)>>,
-    /// `sorted[ci][g]`: group `g`'s codes of covered attribute `ci`,
-    /// ascending.
-    sorted: Vec<Vec<Vec<u32>>>,
+    /// `extents[g * covered.len() + ci]`: the value extent of covered
+    /// attribute `ci` in group `g` — the published box for generalized QI
+    /// attributes, the raw code extent otherwise. An empty group's extent
+    /// is `(u32::MAX, 0)`.
+    extents: Vec<(u32, u32)>,
+    /// Per-group prefix counts. For the pair `i = g * covered.len() + ci`
+    /// with extent `[lo, hi]`, `counts[offsets[i] + k]` is the number of
+    /// group `g`'s rows whose code of covered attribute `ci` is
+    /// `< lo + k`, for `k` in `0..=hi - lo + 1` (an empty group stores one
+    /// `0`). Memory: `Σ_g (w_g + 2)` entries per covered attribute, where
+    /// `w_g = hi - lo` is the width of group `g`'s extent — the same order
+    /// as the posting lists below, which hold `Σ_g (w_g + 1)`.
+    counts: Vec<u32>,
+    /// Start of each (group, covered attribute) pair's run in `counts`,
+    /// indexed like `extents`.
+    offsets: Vec<usize>,
     /// `postings[ci][v]`: ids of groups whose extent of covered attribute
     /// `ci` contains value `v`, ascending.
     postings: Vec<Vec<Vec<u32>>>,
@@ -216,29 +226,19 @@ impl Catalog {
         covered.push(partition.sa());
         let qi_len = covered.len() - 1;
         let groups: Vec<Vec<RowId>> = partition.ecs().to_vec();
-        let mut extents = Vec::with_capacity(groups.len());
+        let sa_col = table.column(partition.sa());
+        let mut extents = Vec::with_capacity(groups.len() * covered.len());
         for (i, ec) in groups.iter().enumerate() {
             let raw = partition.ec_extent(table, i);
-            let mut ext: Vec<(u32, u32)> = partition
-                .qi()
-                .iter()
-                .zip(&raw)
-                .map(|(&a, &(lo, hi))| match table.schema().attr(a).kind() {
+            extents.extend(partition.qi().iter().zip(&raw).map(|(&a, &(lo, hi))| {
+                match table.schema().attr(a).kind() {
                     AttrKind::Numeric { .. } => (lo, hi),
                     AttrKind::Categorical { hierarchy } => {
                         hierarchy.leaf_range(hierarchy.lca_of_leaves(lo, hi))
                     }
-                })
-                .collect();
-            let sa_col = table.column(partition.sa());
-            let mut lo = u32::MAX;
-            let mut hi = 0u32;
-            for &r in ec {
-                lo = lo.min(sa_col[r]);
-                hi = hi.max(sa_col[r]);
-            }
-            ext.push((lo, hi));
-            extents.push(ext);
+                }
+            }));
+            extents.push(code_extent(sa_col, ec));
         }
         Self::assemble(table, covered, qi_len, GroupingSpec::Ecs, groups, extents)
     }
@@ -292,8 +292,7 @@ impl Catalog {
     }
 
     /// Rebuilds a catalog from a persisted [`CatalogSpec`]. `partition`
-    /// must be the artifact's partition for EC grouping; `sa` is the SA
-    /// attribute (used to cross-check `covered`).
+    /// must be the artifact's partition for EC grouping.
     ///
     /// # Errors
     ///
@@ -306,7 +305,6 @@ impl Catalog {
     pub fn from_spec(
         table: &Table,
         partition: Option<&Partition>,
-        sa: usize,
         spec: &CatalogSpec,
     ) -> Result<Self, String> {
         if spec.version != CATALOG_VERSION {
@@ -348,7 +346,6 @@ impl Catalog {
                 spec.covered, built.covered
             ));
         }
-        let _ = sa; // the covered cross-check subsumes the SA position
         Ok(built)
     }
 
@@ -371,7 +368,7 @@ impl Catalog {
     /// Replaces the plan-classification counters with shared handles (the
     /// server passes registry-backed ones so `metrics` can report how
     /// queries resolved: disjoint prune / whole-group summary / straddle
-    /// binary search / residual row scan).
+    /// prefix-count lookup / residual row scan).
     pub fn set_stats(&mut self, stats: CatalogStats) {
         self.stats = stats;
     }
@@ -459,9 +456,10 @@ impl Catalog {
             .collect();
         let mut total = 0u64;
         'groups: for g in self.candidates(&covered) {
+            let ext = self.group_extents(g);
             let mut straddle: Vec<(usize, RangePred)> = Vec::new();
             for &(ci, p) in &covered {
-                let (lo, hi) = self.extents[g][ci];
+                let (lo, hi) = ext[ci];
                 if p.hi < lo || p.lo > hi {
                     tally.disjoint += 1;
                     continue 'groups;
@@ -476,13 +474,10 @@ impl Catalog {
                     tally.full_cover += 1;
                     self.groups[g].len() as u64
                 }
-                // One straddling predicate: binary search its sorted codes.
+                // One straddling predicate: read its per-group prefix counts.
                 ([(ci, p)], true) => {
                     tally.straddle += 1;
-                    let (ci, p) = (*ci, *p);
-                    let codes = &self.sorted[ci][g];
-                    (codes.partition_point(|&v| v <= p.hi) - codes.partition_point(|&v| v < p.lo))
-                        as u64
+                    u64::from(self.range_count(g, *ci, p.lo, p.hi))
                 }
                 // Residual scan over this group's rows only.
                 _ => {
@@ -543,36 +538,35 @@ impl Catalog {
         let mut tally = PlanTally::default();
         let mut total = 0.0;
         'groups: for g in 0..self.groups.len() {
+            let ext = self.group_extents(g);
             for &(pos, p) in &positions {
-                let (lo, hi) = self.extents[g][pos];
+                let (lo, hi) = ext[pos];
                 if p.hi < lo || p.lo > hi {
                     // The scan path computes frac = 0.0 and `continue`s.
                     tally.disjoint += 1;
                     continue 'groups;
                 }
             }
-            let (slo, shi) = self.extents[g][sa_ci];
+            let (slo, shi) = ext[sa_ci];
             if query.sa_pred.hi < slo || query.sa_pred.lo > shi {
                 // The scan path adds frac × 0 = +0.0: skipping is bitwise
                 // equivalent.
                 tally.disjoint += 1;
                 continue;
             }
-            // Every surviving group resolves by the per-group SA binary
-            // search below — a straddle in plan-classification terms.
+            // Every surviving group resolves by the per-group SA prefix
+            // counts below — a straddle in plan-classification terms.
             tally.straddle += 1;
             let mut frac = 1.0;
             for &(pos, p) in &positions {
-                let (lo, hi) = self.extents[g][pos];
+                let (lo, hi) = ext[pos];
                 let cells = (hi - lo + 1) as f64;
                 let olo = lo.max(p.lo);
                 let ohi = hi.min(p.hi);
                 frac *= (ohi - olo + 1) as f64 / cells;
             }
-            let sa = &self.sorted[sa_ci][g];
-            let lo_idx = sa.partition_point(|&v| v < query.sa_pred.lo);
-            let hi_idx = sa.partition_point(|&v| v <= query.sa_pred.hi);
-            total += frac * (hi_idx - lo_idx) as f64;
+            let matched = self.range_count(g, sa_ci, query.sa_pred.lo, query.sa_pred.hi);
+            total += frac * f64::from(matched);
         }
         self.stats.flush(&tally);
         total
@@ -622,9 +616,10 @@ impl Catalog {
         let mut matched = 0u64;
         let mut counts = vec![0.0; overlay.m];
         'groups: for g in self.candidates(&covered) {
+            let ext = self.group_extents(g);
             let mut straddles = false;
             for &(ci, p) in &covered {
-                let (lo, hi) = self.extents[g][ci];
+                let (lo, hi) = ext[ci];
                 if p.hi < lo || p.lo > hi {
                     tally.disjoint += 1;
                     continue 'groups;
@@ -693,6 +688,26 @@ impl Catalog {
         }
     }
 
+    /// Group `g`'s extents, one per covered attribute.
+    fn group_extents(&self, g: usize) -> &[(u32, u32)] {
+        let stride = self.covered.len();
+        &self.extents[g * stride..(g + 1) * stride]
+    }
+
+    /// How many of group `g`'s rows have a code of covered attribute `ci`
+    /// in `[lo, hi]`. Every code of the group lies inside its extent, so
+    /// the range is clamped to the extent and read off the prefix counts.
+    fn range_count(&self, g: usize, ci: usize, lo: u32, hi: u32) -> u32 {
+        let i = g * self.covered.len() + ci;
+        let (elo, ehi) = self.extents[i];
+        let (lo, hi) = (lo.max(elo), hi.min(ehi));
+        if lo > hi {
+            return 0;
+        }
+        let base = self.offsets[i];
+        self.counts[base + (hi - elo) as usize + 1] - self.counts[base + (lo - elo) as usize]
+    }
+
     /// Index of `attr` within the covered set, if covered.
     fn covered_index(&self, attr: usize) -> Option<usize> {
         self.covered.iter().position(|&a| a == attr)
@@ -713,22 +728,9 @@ impl Catalog {
             .chunks(block_rows as usize)
             .map(|c| c.iter().map(|&r| r as usize).collect())
             .collect();
-        let mut extents = Vec::with_capacity(groups.len());
+        let mut extents = Vec::with_capacity(groups.len() * covered.len());
         for rows in &groups {
-            let ext: Vec<(u32, u32)> = covered
-                .iter()
-                .map(|&a| {
-                    let col = table.column(a);
-                    let mut lo = u32::MAX;
-                    let mut hi = 0u32;
-                    for &r in rows {
-                        lo = lo.min(col[r]);
-                        hi = hi.max(col[r]);
-                    }
-                    (lo, hi)
-                })
-                .collect();
-            extents.push(ext);
+            extents.extend(covered.iter().map(|&a| code_extent(table.column(a), rows)));
         }
         Self::assemble(
             table,
@@ -740,35 +742,49 @@ impl Catalog {
         )
     }
 
-    /// Builds the derived structures (sorted codes, posting lists, prefix
-    /// sums) shared by every grouping.
+    /// Builds the derived structures (per-group prefix counts, posting
+    /// lists, prefix sums) shared by every grouping. `extents` is flat,
+    /// `covered.len()` entries per group.
     fn assemble(
         table: &Table,
         covered: Vec<usize>,
         qi_len: usize,
         grouping: GroupingSpec,
         groups: Vec<Vec<RowId>>,
-        extents: Vec<Vec<(u32, u32)>>,
+        extents: Vec<(u32, u32)>,
     ) -> Self {
+        let stride = covered.len();
         let cards: Vec<u32> = covered
             .iter()
             .map(|&a| table.schema().attr(a).cardinality() as u32)
             .collect();
-        let mut sorted = Vec::with_capacity(covered.len());
+        let cols: Vec<&[u32]> = covered.iter().map(|&a| table.column(a)).collect();
+        let mut counts = Vec::new();
+        let mut offsets = Vec::with_capacity(extents.len());
+        for (g, rows) in groups.iter().enumerate() {
+            for (ci, col) in cols.iter().enumerate() {
+                let (lo, hi) = extents[g * stride + ci];
+                let base = counts.len();
+                offsets.push(base);
+                if lo > hi {
+                    counts.push(0); // empty group
+                    continue;
+                }
+                counts.resize(base + (hi - lo) as usize + 2, 0);
+                for &r in rows {
+                    counts[base + (col[r] - lo) as usize + 1] += 1;
+                }
+                for k in base + 1..counts.len() {
+                    counts[k] += counts[k - 1];
+                }
+            }
+        }
         let mut postings = Vec::with_capacity(covered.len());
         let mut prefix = Vec::with_capacity(covered.len());
-        for (ci, &a) in covered.iter().enumerate() {
-            let col = table.column(a);
+        for (ci, col) in cols.iter().enumerate() {
             let card = cards[ci] as usize;
-            let mut per_group = Vec::with_capacity(groups.len());
-            for rows in &groups {
-                let mut codes: Vec<u32> = rows.iter().map(|&r| col[r]).collect();
-                codes.sort_unstable();
-                per_group.push(codes);
-            }
-            sorted.push(per_group);
             let mut lists: Vec<Vec<u32>> = vec![Vec::new(); card];
-            for (g, ext) in extents.iter().enumerate() {
+            for (g, ext) in extents.chunks_exact(stride).enumerate() {
                 let (lo, hi) = ext[ci];
                 if lo > hi {
                     continue; // empty group
@@ -796,7 +812,8 @@ impl Catalog {
             grouping,
             groups,
             extents,
-            sorted,
+            counts,
+            offsets,
             postings,
             prefix,
             num_rows,
@@ -805,6 +822,14 @@ impl Catalog {
             stats: CatalogStats::default(),
         }
     }
+}
+
+/// The `(min, max)` code of `col` over `rows`; `(u32::MAX, 0)` when
+/// `rows` is empty.
+fn code_extent(col: &[u32], rows: &[RowId]) -> (u32, u32) {
+    rows.iter().fold((u32::MAX, 0), |(lo, hi), &r| {
+        (lo.min(col[r]), hi.max(col[r]))
+    })
 }
 
 /// The row permutation block grouping cuts from: rows sorted (stably) by
@@ -886,6 +911,66 @@ mod tests {
         }
     }
 
+    /// Plan classification is part of the observable contract (`metrics`
+    /// reports it), so a layout change must not move a single tally. The
+    /// pinned numbers are `[disjoint, full_cover, straddle, residual_scan]`
+    /// per phase over fixed workloads on one EC and one block catalog.
+    #[test]
+    fn plan_tallies_are_pinned() {
+        let t = table();
+        let w = generate_workload(
+            &t,
+            &WorkloadConfig {
+                qi_pool: vec![0, 1],
+                sa: 2,
+                lambda: 2,
+                theta: 0.15,
+                num_queries: 40,
+                seed: 24,
+            },
+        );
+        let p = burel(&t, &[0, 1], 2, &BurelConfig::new(4.0).with_seed(1)).unwrap();
+        let mut ec = Catalog::for_partition(&t, &p);
+        let mut block = Catalog::for_table(&t, 2);
+        let phase = |catalog: &mut Catalog, run: &dyn Fn(&Catalog, &AggQuery)| {
+            let stats = CatalogStats::default();
+            catalog.set_stats(stats.clone());
+            for q in &w {
+                run(catalog, q);
+            }
+            [
+                stats.disjoint.get(),
+                stats.full_cover.get(),
+                stats.straddle.get(),
+                stats.residual_scan.get(),
+            ]
+        };
+        let all = |q: &AggQuery| -> Vec<RangePred> {
+            q.qi_preds.iter().chain([&q.sa_pred]).copied().collect()
+        };
+        let got = [
+            phase(&mut ec, &|c, q| {
+                c.estimate_generalized(q);
+            }),
+            phase(&mut ec, &|c, q| {
+                c.count(&t, &all(q));
+                c.count(&t, &q.qi_preds);
+                c.count(&t, &[q.sa_pred]);
+            }),
+            phase(&mut block, &|c, q| {
+                c.count(&t, &all(q));
+                c.count(&t, &q.qi_preds);
+                c.count(&t, &[q.sa_pred]);
+            }),
+        ];
+        let want = [
+            [5094, 0, 5146, 0],
+            [10188, 2063, 3949, 4320],
+            [124, 51, 106, 399],
+        ];
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn prefix_fast_path_single_pred() {
         let t = table();
@@ -956,7 +1041,7 @@ mod tests {
         let t = table();
         let catalog = Catalog::for_table(&t, 2);
         let spec = catalog.spec();
-        let rebuilt = Catalog::from_spec(&t, None, 2, &spec).unwrap();
+        let rebuilt = Catalog::from_spec(&t, None, &spec).unwrap();
         assert_eq!(rebuilt.spec(), spec);
         assert_eq!(rebuilt.num_groups(), catalog.num_groups());
         let p = RangePred {
@@ -975,7 +1060,7 @@ mod tests {
             version: CATALOG_VERSION + 1,
             ..good.clone()
         };
-        assert!(Catalog::from_spec(&t, None, 2, &skew)
+        assert!(Catalog::from_spec(&t, None, &skew)
             .unwrap_err()
             .contains("version"));
         let GroupingSpec::Blocks { block_rows, perm } = good.grouping.clone() else {
@@ -990,7 +1075,7 @@ mod tests {
             },
             ..good.clone()
         };
-        assert!(Catalog::from_spec(&t, None, 2, &bad)
+        assert!(Catalog::from_spec(&t, None, &bad)
             .unwrap_err()
             .contains("permutation"));
         let short = CatalogSpec {
@@ -1000,7 +1085,7 @@ mod tests {
             },
             ..good.clone()
         };
-        assert!(Catalog::from_spec(&t, None, 2, &short).is_err());
+        assert!(Catalog::from_spec(&t, None, &short).is_err());
         let zero = CatalogSpec {
             grouping: GroupingSpec::Blocks {
                 block_rows: 0,
@@ -1008,13 +1093,12 @@ mod tests {
             },
             ..good
         };
-        assert!(Catalog::from_spec(&t, None, 2, &zero)
+        assert!(Catalog::from_spec(&t, None, &zero)
             .unwrap_err()
             .contains("positive"));
         assert!(Catalog::from_spec(
             &t,
             None,
-            2,
             &CatalogSpec {
                 version: CATALOG_VERSION,
                 grouping: GroupingSpec::Ecs,

@@ -187,13 +187,12 @@ impl PublishedAnswerer {
         let catalog = match &self.form {
             Form::Generalized(_) => {
                 let p = partition.ok_or("generalized catalog needs the partition")?;
-                Catalog::from_spec(&self.source, Some(p), p.sa(), spec)?
+                Catalog::from_spec(&self.source, Some(p), spec)?
             }
             Form::Perturbed(published) => {
-                Catalog::from_spec(&self.source, None, published.sa, spec)?
-                    .with_perturbed_overlay(published)
+                Catalog::from_spec(&self.source, None, spec)?.with_perturbed_overlay(published)
             }
-            Form::Anatomy(baseline) => Catalog::from_spec(&self.source, None, baseline.sa(), spec)?,
+            Form::Anatomy(_) => Catalog::from_spec(&self.source, None, spec)?,
         };
         self.catalog = Some(Arc::new(catalog));
         Ok(())

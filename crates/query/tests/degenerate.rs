@@ -170,7 +170,8 @@ fn covered_and_residual_straddling_predicates() {
     // Publish with a one-attribute QI out of three, so the EC catalog
     // covers attrs {0, sa} only: predicates on attrs 1 and 2 must take the
     // residual row-scan, while straddling ranges on attr 0 force the
-    // per-group paths (binary search or row scan) instead of prefix sums.
+    // per-group paths (per-group prefix counts or row scan) instead of the
+    // global prefix sums.
     let table = Arc::new(random_table(&SyntheticConfig {
         rows: 150,
         qi_attrs: 3,

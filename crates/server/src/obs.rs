@@ -74,6 +74,9 @@ pub(crate) struct ServerObs {
     pub active_connections: Arc<Gauge>,
     /// Connections shed with `overloaded` since startup.
     pub shed: Arc<Counter>,
+    /// Panics caught on the request path or in a background publish since
+    /// startup — each is a bug; a healthy server keeps this at 0.
+    pub internal_errors: Arc<Counter>,
     /// Entries in the resident artifact cache (including failed publishes).
     pub artifacts_resident: Arc<Gauge>,
     /// Mirror of the result cache's hit count.
@@ -109,6 +112,7 @@ impl ServerObs {
             queue_depth: registry.gauge("queue_depth"),
             active_connections: registry.gauge("active_connections"),
             shed: registry.counter("shed_total"),
+            internal_errors: registry.counter("internal_errors_total"),
             artifacts_resident: registry.gauge("artifacts_resident"),
             cache_hits: registry.gauge("result_cache_hits"),
             cache_misses: registry.gauge("result_cache_misses"),

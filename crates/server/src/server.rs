@@ -642,7 +642,7 @@ fn echo_trace_id(response: &mut Json, trace_id: Option<&str>) {
 
 /// Parses and dispatches one request line. The dispatch is wrapped in
 /// `catch_unwind` so a bug in an algorithm takes down one request, not a
-/// pool worker. Every path — parse failure included — lands in
+/// pool worker; each caught panic bumps `internal_errors_total`. Every path — parse failure included — lands in
 /// [`ServerObs::finish`], so the per-op request/error counters account
 /// for every request line the server ever answered.
 fn respond(state: &Arc<State>, text: &str) -> (Json, bool) {
@@ -685,7 +685,10 @@ fn respond(state: &Arc<State>, text: &str) -> (Json, bool) {
     let mut response = match result {
         Ok(Ok(response)) => response,
         Ok(Err(message)) => error_response(&message),
-        Err(_) => error_response("internal error while handling the request"),
+        Err(_) => {
+            obs.internal_errors.inc();
+            error_response("internal error while handling the request")
+        }
     };
     let ok = response.get("ok").and_then(Json::as_bool).unwrap_or(false);
     echo_trace_id(&mut response, trace_id.as_deref());
@@ -990,6 +993,7 @@ fn publish_with_deadline(
                 }
             }));
             if run.is_err() {
+                state.obs.internal_errors.inc();
                 state.obs.logger.error(
                     "background publish panicked",
                     &[("handle", handle.as_str().into())],

@@ -1,7 +1,8 @@
 //! Bad publish parameters through the socketless [`LocalServer`] seam:
 //! each gets one parseable wire error that names the offending field —
-//! never the `internal error` a caught panic produces — the server keeps
-//! answering, and failed publishes never count as resident artifacts.
+//! never the `internal error` a caught panic produces, and
+//! `internal_errors_total` stays 0 — the server keeps answering, and
+//! failed publishes never count as resident artifacts.
 
 use betalike_microdata::json::Json;
 use betalike_server::{LocalServer, ServerConfig};
@@ -10,8 +11,18 @@ fn local() -> LocalServer {
     LocalServer::new(&ServerConfig::default()).expect("local server")
 }
 
+/// The `internal_errors_total` counter from the `metrics` op.
+fn internal_errors(local: &LocalServer) -> u64 {
+    let (response, _) = local.respond_line(r#"{"op":"metrics"}"#);
+    let doc = Json::parse(&response).expect("metrics JSON");
+    doc.get("counters")
+        .and_then(|c| c.get("internal_errors_total"))
+        .and_then(Json::as_u64)
+        .expect("metrics lists internal_errors_total")
+}
+
 /// The error message of a response line, asserting it is a plain
-/// (non-panic) error.
+/// (non-panic) error that left `internal_errors_total` at 0.
 fn error_of(local: &LocalServer, line: &str) -> String {
     let (response, _) = local.respond_line(line);
     let doc = Json::parse(&response).expect("one parseable response line");
@@ -25,6 +36,7 @@ fn error_of(local: &LocalServer, line: &str) -> String {
         !error.contains("internal error"),
         "`{line}` panicked: {error}"
     );
+    assert_eq!(internal_errors(local), 0, "`{line}` counted a panic");
     error
 }
 

@@ -33,13 +33,13 @@
 //! bit-identically.
 //!
 //! The `catalog` section follows the same philosophy: only the grouping
-//! *descriptor* is stored; extents, sorted codes, posting lists and prefix
-//! sums are rebuilt deterministically. Files written before the section
-//! existed simply lack it, and readers rebuild the default catalog;
-//! readers seeing a catalog *version* they do not derive also rebuild
-//! (rebuild-on-version-skew, `DESIGN.md` §13), whereas a structurally
-//! invalid descriptor in a checksum-clean file is a writer bug and fails
-//! the load.
+//! *descriptor* is stored; extents, per-group prefix counts, posting
+//! lists and prefix sums are rebuilt deterministically. Files written
+//! before the section existed simply lack it, and readers rebuild the
+//! default catalog; readers seeing a catalog *version* they do not derive
+//! also rebuild (rebuild-on-version-skew, `DESIGN.md` §13), whereas a
+//! structurally invalid descriptor in a checksum-clean file is a writer
+//! bug and fails the load.
 
 use crate::codec::{read_prologue, write_prologue, Section, SectionWriter};
 use crate::error::{Result, StoreError};
