@@ -258,29 +258,25 @@ pub fn verify_generalized(
     );
 
     let n = table.num_rows();
-    let mut seen = vec![false; n];
-    let mut cover_problem = None;
-    let mut rows_in_range = true;
-    'cover: for (i, ec) in ecs.iter().enumerate() {
-        for &r in ec {
-            let r = r as usize;
-            if r >= n {
-                cover_problem = Some(format!("EC {i} references row {r} >= {n}"));
-                rows_in_range = false;
-                break 'cover;
+    // Range-check every id before anything indexes by one: the duplicate
+    // and coverage checks below stop at their first finding.
+    let out_of_range = ecs.iter().enumerate().find_map(|(i, ec)| {
+        ec.iter()
+            .find(|&&r| r as usize >= n)
+            .map(|r| format!("EC {i} references row {r} >= {n}"))
+    });
+    let rows_in_range = out_of_range.is_none();
+    let cover_problem = out_of_range.or_else(|| {
+        let mut seen = vec![false; n];
+        for &r in ecs.iter().flatten() {
+            if std::mem::replace(&mut seen[r as usize], true) {
+                return Some(format!("row {r} occurs in more than one EC"));
             }
-            if seen[r] {
-                cover_problem = Some(format!("row {r} occurs in more than one EC"));
-                break 'cover;
-            }
-            seen[r] = true;
         }
-    }
-    if cover_problem.is_none() {
-        if let Some(missing) = seen.iter().position(|&s| !s) {
-            cover_problem = Some(format!("row {missing} is not covered by any EC"));
-        }
-    }
+        seen.iter()
+            .position(|&s| !s)
+            .map(|missing| format!("row {missing} is not covered by any EC"))
+    });
     report.check(
         "cover",
         cover_problem.is_none(),
@@ -867,6 +863,12 @@ mod tests {
         let oob: Vec<Vec<u32>> = vec![vec![0, 1, 2, 3, 4, 5, 9]];
         let r = verify_generalized(&t, &qi, sa, None, &oob, None);
         assert!(r.find("cover").unwrap().detail.contains(">="));
+        // A duplicate id before an out-of-range one: a failing cover
+        // check, not an index past the table.
+        let dup_then_oob: Vec<Vec<u32>> = vec![vec![0, 1, 2], vec![2, 3], vec![4, 5, 99]];
+        let r = verify_generalized(&t, &qi, sa, None, &dup_then_oob, None);
+        let cover = r.find("cover").unwrap();
+        assert!(!cover.pass && cover.detail.contains("99 >= 6"));
         let empty: Vec<Vec<u32>> = vec![vec![0, 1, 2, 3, 4, 5], vec![]];
         let r = verify_generalized(&t, &qi, sa, None, &empty, None);
         assert!(!r.find("ecs-nonempty").unwrap().pass);

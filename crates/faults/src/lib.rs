@@ -8,7 +8,7 @@
 //! * [`Vfs`] — the syscall-routing trait every I/O operation of the
 //!   artifact store goes through. Each call site carries a stable
 //!   `&'static str` site label, so failure schedules are addressable
-//!   ("fail the 2nd fsync of the manifest") and coverage is enumerable
+//!   ("fail the 2nd directory fsync of a save") and coverage is enumerable
 //!   (the torture suite asserts it observed *every* site the store
 //!   exports, mirroring `AttackKind::ALL` in the attack battery).
 //! * [`RealVfs`] — the zero-cost passthrough used in production.

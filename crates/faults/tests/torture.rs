@@ -6,7 +6,7 @@
 //! [`FaultPlan::CrashAt`] at that index, then reopened on the real
 //! filesystem. Invariants, for every crash point:
 //!
-//! * the reopen succeeds — the manifest is never torn;
+//! * the reopen succeeds — no crash leaves the directory unopenable;
 //! * every *committed* artifact (save acknowledged `Ok`, never removed)
 //!   loads, is bit-identical to its expected serialization, and passes
 //!   the independent conformance oracle;
@@ -45,9 +45,9 @@ struct Fixture {
     /// Saved, then byte-flipped on disk — must always end up quarantined
     /// or dropped, never served.
     corrupt: PublicationSnapshot,
-    /// Present as a manifest-less `.bpub` — adopted on open, then removed
-    /// by the workload.
-    orphan: PublicationSnapshot,
+    /// Present as a `.bpub` the legacy `MANIFEST` does not list — served
+    /// on open, then removed by the workload.
+    unlisted: PublicationSnapshot,
     /// handle → known-good serialized bytes, for bit-identity checks.
     expected: BTreeMap<String, Vec<u8>>,
 }
@@ -63,9 +63,9 @@ impl Fixture {
         let a = mk(12, Scheme::Perturb, 48);
         let b = mk(13, Scheme::Anatomy, 60);
         let corrupt = mk(14, Scheme::Anatomy, 48);
-        let orphan = mk(15, Scheme::Anatomy, 48);
+        let unlisted = mk(15, Scheme::Anatomy, 48);
         let mut expected = BTreeMap::new();
-        for snap in [&base, &a, &b, &corrupt, &orphan] {
+        for snap in [&base, &a, &b, &corrupt, &unlisted] {
             expected.insert(
                 snap.params.handle.clone(),
                 publication_to_vec(snap).expect("fixture serialize"),
@@ -78,11 +78,18 @@ impl Fixture {
             a,
             b,
             corrupt,
-            orphan,
+            unlisted,
             expected,
         }
     }
 }
+
+/// A `MANIFEST` as older builds wrote it. Its one row names a handle
+/// that is not in the directory; the store must neither read it nor
+/// touch it.
+const LEGACY_MANIFEST: &str = "{\n  \"version\": 1,\n  \"artifacts\": [\n    {\"handle\": \
+                               \"pub-listed-but-gone\", \"canonical\": \"x\", \
+                               \"checksum\": \"0000000000000000\", \"bytes\": 0}\n  ]\n}\n";
 
 fn temp_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("betalike-torture-{}-{tag}", std::process::id()));
@@ -90,9 +97,10 @@ fn temp_root(tag: &str) -> PathBuf {
     root
 }
 
-/// Lay down the pre-workload state on the real filesystem: a committed
-/// base artifact, a byte-flipped artifact, an orphan `.bpub`, and a stale
-/// tempfile.
+/// Lay down the pre-workload state on the real filesystem, shaped like a
+/// data directory an older build left behind: a committed base artifact,
+/// a byte-flipped artifact, a `.bpub` its legacy `MANIFEST` does not list,
+/// the `MANIFEST` itself, and a stale tempfile.
 fn setup_dir(fx: &Fixture, tag: &str) -> PathBuf {
     let root = temp_root(tag);
     let (store, quarantined) = ArtifactStore::open(&root).expect("fixture open");
@@ -107,13 +115,15 @@ fn setup_dir(fx: &Fixture, tag: &str) -> PathBuf {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
     std::fs::write(&corrupt_path, &bytes).expect("write corrupt fixture");
-    // Orphan: valid artifact file, no manifest row (the crash window
-    // between artifact rename and manifest rewrite).
+    // A valid artifact the legacy manifest never learned of (the crash
+    // window between artifact rename and manifest rewrite in older
+    // builds), and that manifest, which the store must ignore.
     std::fs::write(
-        artifacts.join(format!("{}.bpub", fx.orphan.params.handle)),
-        &fx.expected[&fx.orphan.params.handle],
+        artifacts.join(format!("{}.bpub", fx.unlisted.params.handle)),
+        &fx.expected[&fx.unlisted.params.handle],
     )
-    .expect("write orphan fixture");
+    .expect("write unlisted fixture");
+    std::fs::write(root.join("MANIFEST"), LEGACY_MANIFEST).expect("write legacy manifest");
     // Stale tempfile from an interrupted write.
     std::fs::write(artifacts.join("junk.tmp"), b"stale").expect("write junk.tmp");
     root
@@ -122,8 +132,9 @@ fn setup_dir(fx: &Fixture, tag: &str) -> PathBuf {
 struct Outcome {
     /// Handles whose presence (and bit-identity) the reopen must prove.
     committed: BTreeSet<String>,
-    /// The orphan remove was acknowledged — it must stay gone.
-    removed_orphan: bool,
+    /// The remove of the unlisted artifact was acknowledged — it must
+    /// stay gone.
+    removed_unlisted: bool,
 }
 
 /// The workload every run (golden, crash, seeded) drives: open, two
@@ -133,7 +144,7 @@ struct Outcome {
 fn workload(root: &Path, vfs: Arc<dyn Vfs>, fx: &Fixture) -> Outcome {
     let mut committed: BTreeSet<String> = BTreeSet::new();
     committed.insert(fx.base.params.handle.clone());
-    let mut removed_orphan = false;
+    let mut removed_unlisted = false;
     if let Ok((store, _)) = ArtifactStore::open_with(root, vfs) {
         if store.save(&fx.a).is_ok() {
             committed.insert(fx.a.params.handle.clone());
@@ -142,8 +153,8 @@ fn workload(root: &Path, vfs: Arc<dyn Vfs>, fx: &Fixture) -> Outcome {
             committed.insert(fx.b.params.handle.clone());
         }
         let _ = store.load(&fx.base.params.handle);
-        if let Ok(true) = store.remove(&fx.orphan.params.handle) {
-            removed_orphan = true;
+        if let Ok(true) = store.remove(&fx.unlisted.params.handle) {
+            removed_unlisted = true;
         }
         let _ = store.load(&fx.a.params.handle);
         // Exercise the degraded-recovery probe sites (probe.write /
@@ -152,7 +163,7 @@ fn workload(root: &Path, vfs: Arc<dyn Vfs>, fx: &Fixture) -> Outcome {
     }
     Outcome {
         committed,
-        removed_orphan,
+        removed_unlisted,
     }
 }
 
@@ -167,9 +178,14 @@ fn quarantine_stem(name: &str) -> String {
 
 /// Reopen on the real filesystem and check every recovery invariant.
 fn assert_recovered(root: &Path, fx: &Fixture, out: &Outcome, ctx: &str) {
-    let (store, _quarantined) = ArtifactStore::open(root)
-        .unwrap_or_else(|e| panic!("{ctx}: reopen failed (torn manifest?): {e}"));
+    let (store, _quarantined) =
+        ArtifactStore::open(root).unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
     let served: BTreeSet<String> = store.handles().into_iter().collect();
+    assert_eq!(
+        std::fs::read_to_string(root.join("MANIFEST")).expect("read legacy manifest"),
+        LEGACY_MANIFEST,
+        "{ctx}: the legacy manifest must be left alone"
+    );
 
     for handle in &out.committed {
         let snap = store
@@ -192,9 +208,9 @@ fn assert_recovered(root: &Path, fx: &Fixture, out: &Outcome, ctx: &str) {
         !served.contains(&fx.corrupt.params.handle),
         "{ctx}: byte-flipped artifact must never be served"
     );
-    if out.removed_orphan {
+    if out.removed_unlisted {
         assert!(
-            !served.contains(&fx.orphan.params.handle),
+            !served.contains(&fx.unlisted.params.handle),
             "{ctx}: acknowledged remove came back"
         );
     }
@@ -246,7 +262,10 @@ fn crash_matrix_covers_every_site_and_preserves_committed_artifacts() {
     let golden = Arc::new(ChaosVfs::new(FaultPlan::None));
     let out = workload(&golden_root, golden.clone(), &fx);
     assert_eq!(out.committed.len(), 3, "golden run must commit base+a+b");
-    assert!(out.removed_orphan, "golden run must remove the orphan");
+    assert!(
+        out.removed_unlisted,
+        "golden run must remove the unlisted artifact"
+    );
     assert_recovered(&golden_root, &fx, &out, "golden");
     let golden_ops = golden.ops();
     assert!(

@@ -74,7 +74,7 @@ pub struct CensusConfig {
     /// makes extreme classes locally exclusive, which no real population
     /// exhibits. The mixture bounds each class's local density below by
     /// `(1 − corr_mix) · p` while keeping strong aggregate correlation
-    /// (default 0.5).
+    /// (default 0.8).
     pub corr_mix: f64,
 }
 

@@ -77,7 +77,8 @@ pub(crate) struct ServerObs {
     /// Panics caught on the request path or in a background publish since
     /// startup — each is a bug; a healthy server keeps this at 0.
     pub internal_errors: Arc<Counter>,
-    /// Entries in the resident artifact cache (including failed publishes).
+    /// Successfully published artifacts in the resident cache (failed
+    /// publishes are cached too, but not counted).
     pub artifacts_resident: Arc<Gauge>,
     /// Mirror of the result cache's hit count.
     pub cache_hits: Arc<Gauge>,

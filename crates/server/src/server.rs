@@ -244,7 +244,7 @@ impl ServerHandle {
 /// # Errors
 ///
 /// Propagates the bind failure, or a data directory that cannot be opened
-/// (unwritable, or a manifest too damaged to trust).
+/// (unwritable, or an artifact that could not be read).
 pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
@@ -744,9 +744,9 @@ fn dispatch(
 /// The `health` op: liveness plus the overload and durability gauges —
 /// queue depth and capacity, connections shed, resident artifacts, store
 /// status (`none` / `ok` / `degraded`) and its consecutive write-failure
-/// count, the effective timeout settings, whether catalogs are enabled,
-/// and the result-cache gauges (capacity/size/hits/misses). Never touches
-/// an artifact, so it stays cheap under load.
+/// count, the effective timeout settings, and the result-cache gauges
+/// (capacity/size/hits/misses). Never touches an artifact, so it stays
+/// cheap under load.
 ///
 /// All dynamic gauges come from **one** [`MetricsRegistry::snapshot`],
 /// taken under the registry lock that paired transitions (queue → worker
@@ -923,30 +923,45 @@ fn publish(state: &Arc<State>, doc: &Json, trace: Option<&Trace>) -> Result<Json
     if let Some(ms) = deadline_ms {
         return publish_with_deadline(state, request, handle, ms);
     }
+    let (artifact, fresh) = compute_and_persist(state, &request, &handle, trace);
+    Ok(publish_ack(state, &request, handle, &artifact?, fresh))
+}
+
+/// Computes `handle` into the resident cache (once, however many callers
+/// race) and, when this call was the one that computed it, drops stale
+/// cached counts and persists the result. Returns the cached outcome and
+/// whether it was computed here. Both publish paths go through this.
+fn compute_and_persist(
+    state: &Arc<State>,
+    request: &PublishRequest,
+    handle: &str,
+    trace: Option<&Trace>,
+) -> (Result<Arc<Artifact>, String>, bool) {
     let mut fresh = false;
     let artifact = {
         let _span = trace.map(|t| t.span("publish.compute"));
-        state.artifacts.get_or_init(&handle, || {
+        state.artifacts.get_or_init(handle, || {
             fresh = true;
             Artifact::publish_with(
                 &state.registry,
-                &request,
+                request,
                 true,
                 Some(state.plan_stats.clone()),
             )
         })
     };
     sync_artifacts(state);
-    let artifact = artifact?;
     if fresh {
         // A fresh compute may follow a quarantine of the same handle:
         // cached count responses for the old artifact must not survive it.
-        state.results.invalidate(&handle);
+        state.results.invalidate(handle);
         state.obs.sync_cache(&state.results.stats());
-        let _span = trace.map(|t| t.span("publish.persist"));
-        persist(state, &artifact);
+        if let Ok(artifact) = &artifact {
+            let _span = trace.map(|t| t.span("publish.persist"));
+            persist(state, artifact);
+        }
     }
-    Ok(publish_ack(state, &request, handle, &artifact, fresh))
+    (artifact, fresh)
 }
 
 /// A cold-cache publish bounded by `deadline_ms`: the computation runs on
@@ -973,24 +988,7 @@ fn publish_with_deadline(
             // The claim must be released even if the pipeline panics
             // (mirroring the catch_unwind around foreground dispatch).
             let run = catch_unwind(AssertUnwindSafe(|| {
-                let mut fresh = false;
-                let computed = state.artifacts.get_or_init(&handle, || {
-                    fresh = true;
-                    Artifact::publish_with(
-                        &state.registry,
-                        &request,
-                        true,
-                        Some(state.plan_stats.clone()),
-                    )
-                });
-                sync_artifacts(&state);
-                if fresh {
-                    state.results.invalidate(&handle);
-                    state.obs.sync_cache(&state.results.stats());
-                    if let Ok(artifact) = &computed {
-                        persist(&state, artifact);
-                    }
-                }
+                compute_and_persist(&state, &request, &handle, None)
             }));
             if run.is_err() {
                 state.obs.internal_errors.inc();
@@ -1217,8 +1215,9 @@ fn resident_or_stored(state: &Arc<State>, handle: &str) -> Result<Option<Arc<Art
         // A transient I/O failure (EMFILE under load, a momentary disk
         // hiccup) is not evidence of corruption — report it as retryable
         // and leave the file alone. A *missing* file is different: the
-        // manifest row is stale, so fall through and let quarantine drop
-        // it (making the handle honestly unknown / recomputable).
+        // store's index entry is stale (the file was removed behind the
+        // server's back), so fall through and let quarantine drop it
+        // (making the handle honestly unknown / recomputable).
         Err(betalike_store::StoreError::Io(e)) if e.kind() != std::io::ErrorKind::NotFound => Err(
             format!("stored artifact `{handle}` could not be read: {e} (transient; retry)"),
         ),

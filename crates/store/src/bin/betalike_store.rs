@@ -13,7 +13,7 @@
 //!   export-json --handle H       decode one artifact to JSON on stdout
 //!            [--out FILE]        (params, schema, audit, form, codes)
 //!   gc --keep H [--keep H]...    delete every artifact except the kept
-//!                                handles; rewrites the manifest atomically
+//!                                handles (each unlink is fsynced)
 //! ```
 //!
 //! Exit codes: 0 success, 1 failure (including any `verify` damage),

@@ -44,6 +44,7 @@
 use crate::codec::{read_prologue, write_prologue, Section, SectionWriter};
 use crate::error::{Result, StoreError};
 use betalike_metrics::audit::PartitionAudit;
+use betalike_microdata::hash::Fnv1a64;
 use betalike_microdata::{Table, Value};
 use std::io::{BufRead, Write};
 
@@ -196,7 +197,10 @@ fn write_params(p: &PubParams, w: &mut impl Write) -> Result<()> {
 }
 
 fn read_params(r: &mut impl BufRead) -> Result<PubParams> {
-    let mut s = Section::expect(r, "params")?;
+    decode_params(Section::expect(r, "params")?)
+}
+
+fn decode_params(mut s: Section) -> Result<PubParams> {
     let handle = s.str()?;
     let canonical = s.str()?;
     let dataset_name = s.str()?;
@@ -515,13 +519,7 @@ pub fn read_publication<R: BufRead>(r: &mut R) -> Result<PublicationSnapshot> {
         }
         _ => None,
     };
-    if next.name() != "end" {
-        return Err(StoreError::malformed(
-            "end",
-            format!("expected section `end`, found `{}`", next.name()),
-        ));
-    }
-    next.finish()?;
+    next.named("end")?.finish()?;
     Ok(PublicationSnapshot {
         params,
         table,
@@ -549,18 +547,56 @@ pub fn publication_to_vec(snap: &PublicationSnapshot) -> Result<Vec<u8>> {
 /// As [`read_publication`], plus `Malformed` on trailing bytes.
 pub fn publication_from_slice(mut bytes: &[u8]) -> Result<PublicationSnapshot> {
     let snap = read_publication(&mut bytes)?;
+    no_trailing_bytes(bytes)?;
+    Ok(snap)
+}
+
+/// Checks a whole BPUB document's framing and decodes only its `params`:
+/// the prologue, the section order, every section's checksum, the `end`
+/// guard and the absence of trailing bytes. The table, form, audit and
+/// catalog payloads are checksummed but never parsed, which is what lets
+/// [`crate::disk::ArtifactStore::open`] index a directory of large files
+/// at the cost of one read each. Returns the params and the FNV-1a of the
+/// whole document, computed in the same pass as the section checksums.
+///
+/// # Errors
+///
+/// As [`publication_from_slice`], for everything but the undecoded
+/// payloads.
+pub(crate) fn scan_publication(bytes: &[u8]) -> Result<(PubParams, u64)> {
+    let mut r = bytes;
+    let version = read_prologue(&mut r, BPUB_MAGIC, BPUB_VERSION)?;
+    let mut whole = Fnv1a64::new();
+    whole.update(BPUB_MAGIC.as_bytes());
+    whole.update(&version.to_le_bytes());
+    let mut next = || Section::read_feeding(&mut r, &mut whole);
+    let params = decode_params(next()?.named("params")?)?;
+    for name in ["table", "form", "audit"] {
+        next()?.named(name)?;
+    }
+    let mut last = next()?;
+    if last.name() == "catalog" {
+        last = next()?;
+    }
+    last.named("end")?.finish()?;
+    no_trailing_bytes(r)?;
+    Ok((params, whole.finish()))
+}
+
+fn no_trailing_bytes(bytes: &[u8]) -> Result<()> {
     if !bytes.is_empty() {
         return Err(StoreError::malformed(
             "end",
             format!("{} trailing bytes after the document", bytes.len()),
         ));
     }
-    Ok(snap)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use betalike_microdata::hash::fnv1a64;
     use betalike_microdata::synthetic::{random_table, SyntheticConfig};
 
     pub(crate) fn sample_params() -> PubParams {
@@ -738,6 +774,49 @@ mod tests {
             covered: vec![0],
         });
         assert!(publication_to_vec(&snap).is_err());
+    }
+
+    #[test]
+    fn scan_checks_the_framing_and_returns_the_params() {
+        let mut snap = sample_snapshot(FormSnapshot::Anatomy);
+        let plain = publication_to_vec(&snap).unwrap();
+        let want = (snap.params.clone(), fnv1a64(&plain));
+        assert_eq!(scan_publication(&plain).unwrap(), want);
+        snap.catalog = Some(CatalogSnapshot {
+            version: 1,
+            grouping: 1,
+            block_rows: 16,
+            perm: (0..40u32).collect(),
+            covered: vec![0],
+        });
+        let bytes = publication_to_vec(&snap).unwrap();
+        let want = (snap.params.clone(), fnv1a64(&bytes));
+        assert_eq!(scan_publication(&bytes).unwrap(), want);
+
+        // A flipped payload byte fails that section's checksum.
+        let mut flipped = bytes.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0xff;
+        assert!(matches!(
+            scan_publication(&flipped),
+            Err(StoreError::Corrupt { .. })
+        ));
+        // Names are not checksummed, so the scan checks the layout.
+        let at = bytes.windows(4).position(|w| w == b"form").unwrap();
+        let mut renamed = bytes.clone();
+        renamed[at] = b'x';
+        assert!(matches!(
+            scan_publication(&renamed),
+            Err(StoreError::Malformed { .. })
+        ));
+        // Truncation and trailing bytes.
+        assert!(scan_publication(&bytes[..bytes.len() - 1]).is_err());
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(matches!(
+            scan_publication(&long),
+            Err(StoreError::Malformed { .. })
+        ));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! truncation-aware errors that name the section.
 
 use crate::error::{Result, StoreError};
-use betalike_microdata::hash::fnv1a64;
+use betalike_microdata::hash::{fnv1a64, Fnv1a64};
 use std::io::{BufRead, Read, Write};
 
 /// Upper bound on a single section payload (1 GiB): a corrupted length
@@ -177,8 +177,21 @@ impl Section {
     /// [`StoreError::Truncated`] when the input ends mid-frame,
     /// [`StoreError::Corrupt`] on a checksum mismatch.
     pub fn read<R: BufRead>(r: &mut R) -> Result<Section> {
+        Self::read_feeding(r, &mut Fnv1a64::new())
+    }
+
+    /// [`Section::read`], also feeding every byte of the frame to
+    /// `whole`. The payload goes through both hashes in one pass, so a
+    /// caller that checksums the whole file as well as each section
+    /// hashes the payload at the cost of one hash.
+    ///
+    /// # Errors
+    ///
+    /// As [`Section::read`].
+    pub(crate) fn read_feeding<R: BufRead>(r: &mut R, whole: &mut Fnv1a64) -> Result<Section> {
         let mut len2 = [0u8; 2];
         read_exact(r, &mut len2, "section header")?;
+        whole.update(&len2);
         let name_len = u16::from_le_bytes(len2);
         if name_len > MAX_NAME_BYTES {
             return Err(StoreError::malformed(
@@ -188,10 +201,12 @@ impl Section {
         }
         let mut name_bytes = vec![0u8; name_len as usize];
         read_exact(r, &mut name_bytes, "section header")?;
+        whole.update(&name_bytes);
         let name = String::from_utf8(name_bytes)
             .map_err(|_| StoreError::malformed("section header", "section name is not UTF-8"))?;
         let mut len8 = [0u8; 8];
         read_exact(r, &mut len8, &name)?;
+        whole.update(&len8);
         let payload_len = u64::from_le_bytes(len8);
         if payload_len > MAX_SECTION_BYTES {
             return Err(StoreError::malformed(
@@ -201,10 +216,11 @@ impl Section {
         }
         let mut buf = vec![0u8; payload_len as usize];
         read_exact(r, &mut buf, &name)?;
+        let got = whole.update_and_digest(&buf);
         let mut sum = [0u8; 8];
         read_exact(r, &mut sum, &name)?;
+        whole.update(&sum);
         let expected = u64::from_le_bytes(sum);
-        let got = fnv1a64(&buf);
         if got != expected {
             return Err(StoreError::Corrupt {
                 section: name,
@@ -223,14 +239,22 @@ impl Section {
     /// As [`Section::read`], plus `Malformed` when a different section
     /// arrives (format layout violation).
     pub fn expect<R: BufRead>(r: &mut R, want: &str) -> Result<Section> {
-        let s = Self::read(r)?;
-        if s.name != want {
+        Self::read(r)?.named(want)
+    }
+
+    /// This section, required to be named `want`.
+    ///
+    /// # Errors
+    ///
+    /// `Malformed` when it has another name (format layout violation).
+    pub(crate) fn named(self, want: &str) -> Result<Section> {
+        if self.name != want {
             return Err(StoreError::malformed(
                 want,
-                format!("expected section `{want}`, found `{}`", s.name),
+                format!("expected section `{want}`, found `{}`", self.name),
             ));
         }
-        Ok(s)
+        Ok(self)
     }
 
     /// The section's name.

@@ -5,22 +5,26 @@
 //!
 //! ```text
 //! <data-dir>/
-//!   MANIFEST              handle → canonical params → checksum (JSON)
 //!   artifacts/pub-….bpub  one BPUB document per publication
 //!   quarantine/           corrupt files moved aside, never deleted
 //! ```
 //!
-//! Atomicity: artifact files and the `MANIFEST` are both written to a
-//! temporary sibling, fsynced, renamed into place, and the containing
-//! directory fsynced — a crash leaves either the old state or the new
-//! state, never a torn file. A crash *between* the artifact rename and the
-//! manifest rewrite leaves an orphan `.bpub`, which [`ArtifactStore::open`]
-//! adopts back into the manifest if it reads cleanly (and quarantines
-//! otherwise). Manifest entries whose file is missing or fails its
-//! whole-file FNV-1a checksum are quarantined on open rather than served;
-//! a *transient* read error (anything other than `NotFound`, after an
-//! `Interrupted` retry) fails the open instead — quarantining on a
-//! transient error could shadow a healthy copy.
+//! The `.bpub` files are the whole durable state: each one names its
+//! handle, carries a checksum per section and ends in an `end` guard, so
+//! the directory listing is the index. [`ArtifactStore::open`] scans
+//! `artifacts/` once, drops stale `*.tmp` leftovers, and checks every
+//! `<handle>.bpub` by walking its section frames (decoding only
+//! `params`, whose handle must match the file name). A file that fails
+//! the walk is quarantined rather than served; a *transient* read error
+//! (anything other than `NotFound`, after an `Interrupted` retry) fails
+//! the open instead — quarantining on a transient error could shadow a
+//! healthy copy. A `MANIFEST` left by older builds is ignored.
+//!
+//! Atomicity: an artifact is written to a temporary sibling, fsynced,
+//! renamed into place, and `artifacts/` fsynced — a crash leaves either
+//! the old state or the new state, never a torn file. A remove fsyncs
+//! `artifacts/` after the unlink, so an acknowledged remove survives a
+//! power cut.
 //!
 //! Every syscall goes through an injectable [`Vfs`] (see
 //! `betalike-faults`), tagged with one of the [`site`] labels below; the
@@ -29,20 +33,19 @@
 //! syscall site added without a [`site`] constant (or bypassing the Vfs —
 //! lint rule F1) is a test failure.
 
-use crate::bpub::{publication_from_slice, publication_to_vec, PublicationSnapshot};
+use crate::bpub::{
+    publication_from_slice, publication_to_vec, scan_publication, PublicationSnapshot,
+};
 use crate::error::{Result, StoreError};
 use crate::obs::StoreObs;
 use betalike_faults::{RealVfs, Vfs};
 use betalike_microdata::hash::fnv1a64;
-use betalike_microdata::json::Json;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// The manifest file name.
-pub const MANIFEST: &str = "MANIFEST";
 /// Subdirectory holding the artifact files.
 pub const ARTIFACTS_DIR: &str = "artifacts";
 /// Subdirectory corrupt files are moved into.
@@ -53,8 +56,6 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// publishes (counts/audits keep serving).
 pub const DEGRADED_AFTER: u32 = 3;
 
-const MANIFEST_VERSION: f64 = 1.0;
-
 /// Stable labels for every [`Vfs`] call site in this module. The torture
 /// suite asserts it observed exactly [`site::VFS_SITES`] — adding a
 /// syscall here without extending the roster fails that suite, the same
@@ -64,18 +65,12 @@ pub mod site {
     pub const OPEN_MKDIR_ARTIFACTS: &str = "open.mkdir.artifacts";
     /// `create_dir_all(quarantine/)` during open.
     pub const OPEN_MKDIR_QUARANTINE: &str = "open.mkdir.quarantine";
-    /// Manifest read during open.
-    pub const OPEN_READ_MANIFEST: &str = "open.read.manifest";
-    /// Directory scans for stale `*.tmp` leftovers during open.
-    pub const OPEN_SCAN_TMP: &str = "open.scan.tmp";
+    /// The one `artifacts/` scan during open.
+    pub const OPEN_SCAN_ARTIFACTS: &str = "open.scan.artifacts";
     /// Removal of a stale `*.tmp` leftover during open.
     pub const OPEN_REMOVE_TMP: &str = "open.remove.tmp";
-    /// Checksum re-read of a manifest entry's file during open.
+    /// Read of a `.bpub` file during open.
     pub const OPEN_READ_ARTIFACT: &str = "open.read.artifact";
-    /// `artifacts/` scan for orphan `.bpub` files during open.
-    pub const OPEN_SCAN_ORPHANS: &str = "open.scan.orphans";
-    /// Read of an orphan `.bpub` candidate during open.
-    pub const OPEN_READ_ORPHAN: &str = "open.read.orphan";
     /// Tempfile write of an artifact during save.
     pub const SAVE_WRITE_TMP: &str = "save.write.tmp";
     /// Tempfile fsync of an artifact during save.
@@ -84,18 +79,12 @@ pub mod site {
     pub const SAVE_RENAME: &str = "save.rename";
     /// Directory fsync making the artifact rename durable.
     pub const SAVE_FSYNC_DIR: &str = "save.fsync.dir";
-    /// Tempfile write of the manifest.
-    pub const MANIFEST_WRITE_TMP: &str = "manifest.write.tmp";
-    /// Tempfile fsync of the manifest.
-    pub const MANIFEST_FSYNC_TMP: &str = "manifest.fsync.tmp";
-    /// Rename of the manifest tempfile into place.
-    pub const MANIFEST_RENAME: &str = "manifest.rename";
-    /// Directory fsync making the manifest rename durable.
-    pub const MANIFEST_FSYNC_DIR: &str = "manifest.fsync.dir";
     /// Artifact read during [`super::ArtifactStore::load`].
     pub const LOAD_READ_ARTIFACT: &str = "load.read.artifact";
     /// Artifact unlink during [`super::ArtifactStore::remove`].
     pub const REMOVE_ARTIFACT: &str = "remove.artifact";
+    /// Directory fsync making a remove's unlink durable.
+    pub const REMOVE_FSYNC_DIR: &str = "remove.fsync.dir";
     /// Move of a damaged file into `quarantine/`.
     pub const QUARANTINE_RENAME: &str = "quarantine.rename";
     /// Cross-filesystem quarantine fallback: copy into `quarantine/`.
@@ -112,32 +101,32 @@ pub mod site {
     pub const VFS_SITES: &[&str] = &[
         OPEN_MKDIR_ARTIFACTS,
         OPEN_MKDIR_QUARANTINE,
-        OPEN_READ_MANIFEST,
-        OPEN_SCAN_TMP,
+        OPEN_SCAN_ARTIFACTS,
         OPEN_REMOVE_TMP,
         OPEN_READ_ARTIFACT,
-        OPEN_SCAN_ORPHANS,
-        OPEN_READ_ORPHAN,
         SAVE_WRITE_TMP,
         SAVE_FSYNC_TMP,
         SAVE_RENAME,
         SAVE_FSYNC_DIR,
-        MANIFEST_WRITE_TMP,
-        MANIFEST_FSYNC_TMP,
-        MANIFEST_RENAME,
-        MANIFEST_FSYNC_DIR,
         LOAD_READ_ARTIFACT,
         REMOVE_ARTIFACT,
+        REMOVE_FSYNC_DIR,
         QUARANTINE_RENAME,
         QUARANTINE_FALLBACK_COPY,
         QUARANTINE_FALLBACK_REMOVE,
         PROBE_WRITE,
         PROBE_REMOVE,
     ];
+
+    /// The label older builds wrote their `MANIFEST` under. Nothing
+    /// writes under it any more and it is not in [`VFS_SITES`]; it stays
+    /// so syscall counters that break out manifest bytes keep building
+    /// (and now report 0).
+    pub const MANIFEST_WRITE_TMP: &str = "manifest.write.tmp";
 }
 
-/// One manifest row: everything needed to detect a damaged artifact
-/// without parsing it.
+/// One stored artifact, as indexed from its file: everything needed to
+/// detect a damaged artifact without parsing it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreEntry {
     /// Content-addressed handle (`pub-…`).
@@ -152,9 +141,9 @@ pub struct StoreEntry {
 
 /// A durable, checksummed map from publication handle to `.bpub` file.
 ///
-/// All mutating operations rewrite the manifest atomically; concurrent
-/// callers are serialized by an internal mutex (the store is shared behind
-/// an `Arc` by every server worker).
+/// The map is an in-memory index of `artifacts/`, rebuilt by every open;
+/// the lock guarding it is never held across I/O. The store is shared
+/// behind an `Arc` by every server worker.
 #[derive(Debug)]
 pub struct ArtifactStore {
     root: PathBuf,
@@ -179,102 +168,59 @@ impl ArtifactStore {
     /// Opens (creating if needed) the store under `root`, routing every
     /// syscall through `vfs`.
     ///
-    /// Scans the manifest, verifies every entry's file against its
-    /// recorded checksum, quarantines damaged files (dropping rows whose
-    /// file is simply gone), adopts readable orphan `.bpub` files the
-    /// manifest does not know (crash recovery), and removes stale `*.tmp`
-    /// leftovers. Returns the store plus the handles that were quarantined
-    /// or dropped.
+    /// Scans `artifacts/` once: removes stale `*.tmp` leftovers, and
+    /// indexes every `<handle>.bpub` whose sections all pass their
+    /// checksums and whose `params` name `handle`. Files that fail are
+    /// quarantined. Returns the store plus the quarantined handles.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures — including *transient* read errors while
-    /// verifying an entry (quarantining on those could shadow a healthy
-    /// copy; the caller retries the open instead) — and a malformed
-    /// manifest (a manifest that fails to parse is a data-loss condition
-    /// surfaced to the operator, not silently reset).
+    /// Propagates I/O failures — including *transient* read errors on an
+    /// artifact (quarantining on those could shadow a healthy copy; the
+    /// caller retries the open instead). A file that vanishes between the
+    /// scan and its read is skipped.
     pub fn open_with(root: impl Into<PathBuf>, vfs: Arc<dyn Vfs>) -> Result<(Self, Vec<String>)> {
         let root = root.into();
-        vfs.create_dir_all(site::OPEN_MKDIR_ARTIFACTS, &root.join(ARTIFACTS_DIR))?;
+        let dir = root.join(ARTIFACTS_DIR);
+        vfs.create_dir_all(site::OPEN_MKDIR_ARTIFACTS, &dir)?;
         vfs.create_dir_all(site::OPEN_MKDIR_QUARANTINE, &root.join(QUARANTINE_DIR))?;
 
-        let mut entries = read_manifest(vfs.as_ref(), &root)?;
+        let mut entries = BTreeMap::new();
         let mut quarantined = Vec::new();
-
-        // Drop stale temporaries from interrupted writes.
-        for dir in [root.join(ARTIFACTS_DIR), root.clone()] {
-            for path in vfs.read_dir(site::OPEN_SCAN_TMP, &dir)? {
-                if path.extension().is_some_and(|e| e == "tmp") {
-                    let _ = vfs.remove_file(site::OPEN_REMOVE_TMP, &path);
-                }
-            }
-        }
-
-        // Verify every manifest entry's file, classifying read errors:
-        // only an actual checksum mismatch quarantines. A missing file
-        // just drops the stale row; any other error (after retrying
-        // `Interrupted`) aborts the open — it says nothing about the
-        // bytes, and moving the file aside on it could bury the only
-        // healthy copy.
-        let handles: Vec<String> = entries.keys().cloned().collect();
-        for handle in handles {
-            let path = artifact_path(&root, &handle);
-            match read_retrying_interrupts(vfs.as_ref(), site::OPEN_READ_ARTIFACT, &path) {
-                Ok(bytes) => {
-                    let ok = entries
-                        .get(&handle)
-                        .is_some_and(|entry| fnv1a64(&bytes) == entry.checksum);
-                    if !ok {
-                        quarantine_file(vfs.as_ref(), &root, &handle);
-                        entries.remove(&handle);
-                        quarantined.push(handle);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    entries.remove(&handle);
-                    quarantined.push(handle);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-
-        // Adopt readable orphans (artifact renamed, manifest write lost).
-        for path in vfs.read_dir(site::OPEN_SCAN_ORPHANS, &root.join(ARTIFACTS_DIR))? {
-            if path.extension().map_or(true, |e| e != "bpub") {
-                continue;
-            }
-            let Some(handle) = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .map(str::to_string)
-            else {
+        for path in vfs.read_dir(site::OPEN_SCAN_ARTIFACTS, &dir)? {
+            let Some(ext) = path.extension() else {
                 continue;
             };
-            if entries.contains_key(&handle) {
+            if ext == "tmp" {
+                // A stale temporary from an interrupted write.
+                let _ = vfs.remove_file(site::OPEN_REMOVE_TMP, &path);
                 continue;
             }
-            let bytes = match read_retrying_interrupts(vfs.as_ref(), site::OPEN_READ_ORPHAN, &path)
-            {
-                Ok(bytes) => bytes,
-                // Raced away (e.g. by a concurrent opener): nothing to adopt.
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                // Same transient-error rule as above: don't judge a file
-                // we could not read.
-                Err(e) => return Err(e.into()),
+            let handle = match path.file_stem().and_then(|s| s.to_str()) {
+                Some(stem) if ext == "bpub" && validate_handle(stem).is_ok() => stem.to_string(),
+                _ => continue,
             };
-            let adopted = publication_from_slice(&bytes).ok().and_then(|snap| {
-                (snap.params.handle == handle).then(|| StoreEntry {
-                    handle: handle.clone(),
-                    canonical: snap.params.canonical,
-                    checksum: fnv1a64(&bytes),
-                    bytes: bytes.len() as u64,
-                })
-            });
-            match adopted {
-                Some(entry) => {
+            // Only a file that reads and fails its checks is quarantined:
+            // any other read error says nothing about the bytes, and
+            // moving the file aside on it could bury the only healthy copy.
+            let bytes =
+                match read_retrying_interrupts(vfs.as_ref(), site::OPEN_READ_ARTIFACT, &path) {
+                    Ok(bytes) => bytes,
+                    // Raced away (e.g. by a concurrent remove): nothing to index.
+                    Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                    Err(e) => return Err(e.into()),
+                };
+            match scan_publication(&bytes) {
+                Ok((params, checksum)) if params.handle == handle => {
+                    let entry = StoreEntry {
+                        handle: handle.clone(),
+                        canonical: params.canonical,
+                        checksum,
+                        bytes: bytes.len() as u64,
+                    };
                     entries.insert(handle, entry);
                 }
-                None => {
+                _ => {
                     quarantine_file(vfs.as_ref(), &root, &handle);
                     quarantined.push(handle);
                 }
@@ -288,7 +234,6 @@ impl ArtifactStore {
             write_failures: AtomicU32::new(0),
             obs: OnceLock::new(),
         };
-        store.rewrite_manifest()?;
         Ok((store, quarantined))
     }
 
@@ -299,16 +244,12 @@ impl ArtifactStore {
 
     /// Attaches observability handles (first caller wins; later calls are
     /// ignored). Saves, loads and fsyncs are timed from here on, and the
-    /// `store_*` gauges start mirroring manifest size and failure state —
-    /// seeded immediately so a freshly restarted server reports its
-    /// restored artifact count before any traffic.
+    /// `store_*` gauges start mirroring the artifact count and failure
+    /// state — seeded immediately so a freshly restarted server reports
+    /// its restored artifact count before any traffic.
     pub fn attach_obs(&self, obs: StoreObs) {
         let _ = self.obs.set(obs);
-        if let Some(o) = self.obs.get() {
-            o.stored.set(self.len() as i64);
-            o.write_failures.set(i64::from(self.write_failures()));
-            o.degraded.set(i64::from(self.degraded()));
-        }
+        self.sync_obs_gauges();
     }
 
     fn obs(&self) -> Option<&StoreObs> {
@@ -330,7 +271,7 @@ impl ArtifactStore {
         self.lock().keys().cloned().collect()
     }
 
-    /// The manifest row for `handle`, if present.
+    /// The index entry for `handle`, if present.
     pub fn entry(&self, handle: &str) -> Option<StoreEntry> {
         self.lock().get(handle).cloned()
     }
@@ -384,9 +325,10 @@ impl ArtifactStore {
         Ok(())
     }
 
-    /// Persists a publication: serialize, write `artifacts/<handle>.bpub`
-    /// atomically (temp file + fsync + rename + directory fsync), then
-    /// rewrite the manifest atomically. Tracks consecutive failures for
+    /// Persists a publication: serialize, then write
+    /// `artifacts/<handle>.bpub` atomically (temp file + fsync + rename +
+    /// directory fsync). The handle joins the index only once the write
+    /// is durable. Tracks consecutive failures for
     /// [`ArtifactStore::degraded`].
     ///
     /// # Errors
@@ -416,8 +358,8 @@ impl ArtifactStore {
     }
 
     fn save_inner(&self, snap: &PublicationSnapshot) -> Result<StoreEntry> {
-        let handle = snap.params.handle.clone();
-        validate_handle(&handle)?;
+        let handle = &snap.params.handle;
+        validate_handle(handle)?;
         let bytes = publication_to_vec(snap)?;
         let entry = StoreEntry {
             handle: handle.clone(),
@@ -425,18 +367,13 @@ impl ArtifactStore {
             checksum: fnv1a64(&bytes),
             bytes: bytes.len() as u64,
         };
-        write_atomically(
-            self.vfs.as_ref(),
-            self.obs(),
-            &AtomicWriteSites::ARTIFACT,
-            &self.path_of(&handle),
-            &bytes,
-        )?;
-        {
-            let mut entries = self.lock();
-            entries.insert(handle, entry.clone());
-        }
-        self.rewrite_manifest()?;
+        let path = self.path_of(handle);
+        let tmp = path.with_extension("tmp");
+        self.vfs.write(site::SAVE_WRITE_TMP, &tmp, &bytes)?;
+        self.timed_fsync(site::SAVE_FSYNC_TMP, &tmp)?;
+        self.vfs.rename(site::SAVE_RENAME, &tmp, &path)?;
+        self.timed_fsync(site::SAVE_FSYNC_DIR, &self.root.join(ARTIFACTS_DIR))?;
+        self.lock().insert(handle.clone(), entry.clone());
         Ok(entry)
     }
 
@@ -490,17 +427,15 @@ impl ArtifactStore {
     }
 
     /// Moves `handle`'s file into `quarantine/` and drops it from the
-    /// manifest. Returns whether anything was quarantined.
+    /// index. Returns whether anything was quarantined.
     ///
     /// # Errors
     ///
-    /// Propagates the manifest rewrite failure.
+    /// None today: a failed move is best-effort (the handle still leaves
+    /// the index), and the next open re-checks whatever stayed behind.
     pub fn quarantine(&self, handle: &str) -> Result<bool> {
         let removed = self.lock().remove(handle).is_some();
         let moved = quarantine_file(self.vfs.as_ref(), &self.root, handle);
-        if removed {
-            self.rewrite_manifest()?;
-        }
         if removed || moved {
             if let Some(o) = self.obs() {
                 o.quarantines.inc();
@@ -510,20 +445,21 @@ impl ArtifactStore {
         Ok(removed || moved)
     }
 
-    /// Deletes `handle`'s artifact and manifest row. Returns whether it
-    /// existed.
+    /// Deletes `handle`'s artifact: unlink, fsync `artifacts/` so the
+    /// delete survives a power cut, then drop it from the index. Returns
+    /// whether it was indexed.
     ///
     /// # Errors
     ///
-    /// Propagates I/O and manifest rewrite failures.
+    /// Propagates the unlink or directory-fsync failure.
     pub fn remove(&self, handle: &str) -> Result<bool> {
-        let removed = self.lock().remove(handle).is_some();
         let path = self.path_of(handle);
         if self.vfs.exists(&path) {
             self.vfs.remove_file(site::REMOVE_ARTIFACT, &path)?;
+            self.timed_fsync(site::REMOVE_FSYNC_DIR, &self.root.join(ARTIFACTS_DIR))?;
         }
+        let removed = self.lock().remove(handle).is_some();
         if removed {
-            self.rewrite_manifest()?;
             self.sync_obs_gauges();
         }
         Ok(removed)
@@ -531,7 +467,7 @@ impl ArtifactStore {
 
     /// Fully re-reads and re-verifies every stored artifact (whole-file
     /// checksum, per-section checksums, structural validation). Returns
-    /// one `(handle, result)` row per manifest entry.
+    /// one `(handle, result)` row per indexed artifact.
     pub fn verify(&self) -> Vec<(String, Result<StoreEntry>)> {
         self.handles()
             .into_iter()
@@ -541,7 +477,7 @@ impl ArtifactStore {
                         .and_then(|snap| match (snap, self.entry(&handle)) {
                             (Some(_), Some(entry)) => Ok(entry),
                             _ => Err(StoreError::malformed(
-                                "manifest",
+                                "store",
                                 "entry vanished during verification",
                             )),
                         });
@@ -554,35 +490,14 @@ impl ArtifactStore {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Rebuilds and atomically replaces the `MANIFEST`. The entries lock
-    /// is held across the *file write*, not just the map read: the
-    /// tempfile path is shared, so two concurrent rewrites would truncate
-    /// each other's half-written temporary and rename interleaved bytes
-    /// into place. Callers must not hold the lock when calling this.
-    fn rewrite_manifest(&self) -> Result<()> {
-        let entries = self.lock();
-        let rows: Vec<Json> = entries
-            .values()
-            .map(|e| {
-                Json::Obj(vec![
-                    ("handle".into(), Json::Str(e.handle.clone())),
-                    ("canonical".into(), Json::Str(e.canonical.clone())),
-                    ("checksum".into(), Json::Str(format!("{:016x}", e.checksum))),
-                    ("bytes".into(), Json::Num(e.bytes as f64)),
-                ])
-            })
-            .collect();
-        let doc = Json::Obj(vec![
-            ("version".into(), Json::Num(MANIFEST_VERSION)),
-            ("artifacts".into(), Json::Arr(rows)),
-        ]);
-        write_atomically(
-            self.vfs.as_ref(),
-            self.obs(),
-            &AtomicWriteSites::MANIFEST,
-            &self.root.join(MANIFEST),
-            (doc.pretty() + "\n").as_bytes(),
-        )
+    /// One `fsync`, timed into `store_fsync_ns` when handles are attached.
+    fn timed_fsync(&self, site: &'static str, target: &Path) -> io::Result<()> {
+        let start = self.obs().and_then(StoreObs::start);
+        let result = self.vfs.fsync(site, target);
+        if let Some(o) = self.obs() {
+            o.record_since(&o.fsync_ns, start);
+        }
+        result
     }
 }
 
@@ -598,7 +513,7 @@ fn validate_handle(handle: &str) -> Result<()> {
             .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.');
     if !safe || handle.starts_with('.') {
         return Err(StoreError::malformed(
-            "manifest",
+            "handle",
             format!("`{handle}` is not a safe artifact handle"),
         ));
     }
@@ -644,116 +559,6 @@ fn quarantine_file(vfs: &dyn Vfs, root: &Path, handle: &str) -> bool {
                 .remove_file(site::QUARANTINE_FALLBACK_REMOVE, &from)
                 .is_ok()
     }
-}
-
-/// The four site labels of one atomic write, so the artifact and manifest
-/// sequences stay distinguishable in a failure schedule.
-struct AtomicWriteSites {
-    write: &'static str,
-    fsync_tmp: &'static str,
-    rename: &'static str,
-    fsync_dir: &'static str,
-}
-
-impl AtomicWriteSites {
-    const ARTIFACT: AtomicWriteSites = AtomicWriteSites {
-        write: site::SAVE_WRITE_TMP,
-        fsync_tmp: site::SAVE_FSYNC_TMP,
-        rename: site::SAVE_RENAME,
-        fsync_dir: site::SAVE_FSYNC_DIR,
-    };
-    const MANIFEST: AtomicWriteSites = AtomicWriteSites {
-        write: site::MANIFEST_WRITE_TMP,
-        fsync_tmp: site::MANIFEST_FSYNC_TMP,
-        rename: site::MANIFEST_RENAME,
-        fsync_dir: site::MANIFEST_FSYNC_DIR,
-    };
-}
-
-/// Temp-file-then-rename write with a trailing directory fsync: readers
-/// never observe a torn file, and the rename itself survives a crash.
-/// Each fsync is individually timed into `obs` when handles are attached
-/// (no new [`Vfs`] sites — the timing wraps the existing calls).
-fn write_atomically(
-    vfs: &dyn Vfs,
-    obs: Option<&StoreObs>,
-    sites: &AtomicWriteSites,
-    path: &Path,
-    bytes: &[u8],
-) -> Result<()> {
-    let timed_fsync = |site: &'static str, target: &Path| -> io::Result<()> {
-        let start = obs.and_then(StoreObs::start);
-        let result = vfs.fsync(site, target);
-        if let Some(o) = obs {
-            o.record_since(&o.fsync_ns, start);
-        }
-        result
-    };
-    let tmp = path.with_extension("tmp");
-    vfs.write(sites.write, &tmp, bytes)?;
-    timed_fsync(sites.fsync_tmp, &tmp)?;
-    vfs.rename(sites.rename, &tmp, path)?;
-    if let Some(parent) = path.parent() {
-        timed_fsync(sites.fsync_dir, parent)?;
-    }
-    Ok(())
-}
-
-fn read_manifest(vfs: &dyn Vfs, root: &Path) -> Result<BTreeMap<String, StoreEntry>> {
-    let path = root.join(MANIFEST);
-    let text = match vfs.read_to_string(site::OPEN_READ_MANIFEST, &path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
-        Err(e) => return Err(e.into()),
-    };
-    let bad = |detail: String| StoreError::Malformed {
-        section: "manifest".into(),
-        detail,
-    };
-    let doc = Json::parse(&text).map_err(|e| bad(format!("not JSON: {e}")))?;
-    let version = doc
-        .get("version")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| bad("missing `version`".into()))?;
-    if version > MANIFEST_VERSION {
-        return Err(StoreError::VersionSkew {
-            found: version as u32,
-            supported: MANIFEST_VERSION as u32,
-        });
-    }
-    let mut entries = BTreeMap::new();
-    for (i, row) in doc
-        .get("artifacts")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("missing `artifacts` array".into()))?
-        .iter()
-        .enumerate()
-    {
-        let text_field = |key: &str| {
-            row.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| bad(format!("artifacts[{i}]: missing string `{key}`")))
-        };
-        let handle = text_field("handle")?;
-        validate_handle(&handle)?;
-        let checksum = u64::from_str_radix(&text_field("checksum")?, 16)
-            .map_err(|_| bad(format!("artifacts[{i}]: checksum is not hex")))?;
-        let bytes = row
-            .get("bytes")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad(format!("artifacts[{i}]: missing `bytes`")))?;
-        entries.insert(
-            handle.clone(),
-            StoreEntry {
-                handle,
-                canonical: text_field("canonical")?,
-                checksum,
-                bytes,
-            },
-        );
-    }
-    Ok(entries)
 }
 
 #[cfg(test)]
@@ -811,7 +616,7 @@ mod tests {
         assert_eq!(snap.params.handle, "pub-aaaa");
         assert_eq!(store.load("pub-missing").unwrap().map(|_| ()), None);
 
-        // Reopen: the manifest round-trips.
+        // Reopen: the index is rebuilt from the file alone.
         drop(store);
         let (store, quarantined) = ArtifactStore::open(&root).unwrap();
         assert!(quarantined.is_empty());
@@ -860,37 +665,61 @@ mod tests {
     }
 
     #[test]
-    fn orphan_files_are_adopted() {
-        let root = temp_root("orphan");
-        let (store, _) = ArtifactStore::open(&root).unwrap();
-        store.save(&snapshot("pub-dddd")).unwrap();
-        // Simulate a crash after the artifact rename but before the
-        // manifest write: delete the manifest.
-        drop(store);
-        std::fs::remove_file(root.join(MANIFEST)).unwrap();
+    fn legacy_manifest_directory_opens_unchanged() {
+        // A data directory from a build that kept a v1 `MANIFEST` beside
+        // the artifacts: one listed file, one the manifest never learned
+        // of (a crash between the artifact rename and the manifest write).
+        let root = temp_root("legacy");
+        let artifacts = root.join(ARTIFACTS_DIR);
+        std::fs::create_dir_all(&artifacts).unwrap();
+        let listed = publication_to_vec(&snapshot("pub-dddd")).unwrap();
+        let unlisted = publication_to_vec(&snapshot("pub-eeee")).unwrap();
+        std::fs::write(artifact_path(&root, "pub-dddd"), &listed).unwrap();
+        std::fs::write(artifact_path(&root, "pub-eeee"), &unlisted).unwrap();
+        let manifest = format!(
+            "{{\n  \"version\": 1,\n  \"artifacts\": [\n    {{\"handle\": \"pub-dddd\", \
+             \"canonical\": \"canonical-of-pub-dddd\", \"checksum\": \"{:016x}\", \
+             \"bytes\": {}}}\n  ]\n}}\n",
+            fnv1a64(&listed),
+            listed.len()
+        );
+        std::fs::write(root.join("MANIFEST"), &manifest).unwrap();
+
         let (store, quarantined) = ArtifactStore::open(&root).unwrap();
         assert!(quarantined.is_empty());
-        assert_eq!(store.handles(), vec!["pub-dddd".to_string()]);
-        assert!(store.load("pub-dddd").unwrap().is_some());
+        assert_eq!(store.handles(), ["pub-dddd", "pub-eeee"]);
+        for (handle, bytes) in [("pub-dddd", &listed), ("pub-eeee", &unlisted)] {
+            let snap = store.load(handle).unwrap().unwrap();
+            assert_eq!(&publication_to_vec(&snap).unwrap(), bytes);
+            assert_eq!(store.entry(handle).unwrap().checksum, fnv1a64(bytes));
+        }
+        store.save(&snapshot("pub-ffff")).unwrap();
+        assert!(store.remove("pub-dddd").unwrap());
+        assert_eq!(
+            std::fs::read_to_string(root.join("MANIFEST")).unwrap(),
+            manifest,
+            "the legacy manifest is left alone"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn missing_file_drops_row_without_quarantine_move() {
-        let root = temp_root("missing-row");
+    fn misnamed_file_is_quarantined_on_open() {
+        let root = temp_root("misnamed");
         let (store, _) = ArtifactStore::open(&root).unwrap();
-        store.save(&snapshot("pub-gone")).unwrap();
-        store.save(&snapshot("pub-kept")).unwrap();
+        store.save(&snapshot("pub-real")).unwrap();
         drop(store);
-        std::fs::remove_file(artifact_path(&root, "pub-gone")).unwrap();
+        std::fs::copy(
+            artifact_path(&root, "pub-real"),
+            artifact_path(&root, "pub-fake"),
+        )
+        .unwrap();
+        std::fs::write(root.join(ARTIFACTS_DIR).join("stale.tmp"), b"x").unwrap();
         let (store, quarantined) = ArtifactStore::open(&root).unwrap();
-        assert_eq!(quarantined, vec!["pub-gone".to_string()]);
-        assert_eq!(store.handles(), vec!["pub-kept".to_string()]);
-        // Nothing to move: quarantine/ stays empty.
-        let q: Vec<_> = std::fs::read_dir(root.join(QUARANTINE_DIR))
-            .unwrap()
-            .collect();
-        assert!(q.is_empty());
+        assert_eq!(quarantined, ["pub-fake"]);
+        assert_eq!(store.handles(), ["pub-real"]);
+        assert!(root.join(QUARANTINE_DIR).join("pub-fake.bpub").exists());
+        assert!(!root.join(ARTIFACTS_DIR).join("stale.tmp").exists());
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -941,8 +770,8 @@ mod tests {
             }
         });
         assert_eq!(store.len(), 8);
-        // The manifest on disk must parse and list all eight — a torn
-        // concurrent rewrite would fail this reopen.
+        // All eight files must be whole — a torn concurrent write would
+        // be quarantined by this reopen.
         drop(store);
         let (store, quarantined) = ArtifactStore::open(&root).unwrap();
         assert!(quarantined.is_empty());
@@ -979,5 +808,6 @@ mod tests {
     fn site_roster_has_no_duplicates() {
         let set: std::collections::BTreeSet<_> = site::VFS_SITES.iter().collect();
         assert_eq!(set.len(), site::VFS_SITES.len());
+        assert!(!set.contains(&site::MANIFEST_WRITE_TMP));
     }
 }

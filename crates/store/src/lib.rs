@@ -17,9 +17,9 @@
 //!   stored state (EC row lists / perturbed column + plan), and the
 //!   publish-time privacy audit.
 //! * [`disk`] — the content-addressed [`disk::ArtifactStore`]:
-//!   `<data-dir>/artifacts/pub-….bpub` plus an atomically rewritten
-//!   `MANIFEST`, tempfile-then-rename writes, and quarantine of corrupt
-//!   entries on open.
+//!   `<data-dir>/artifacts/pub-….bpub`, one self-checking file per
+//!   publication and no other index on disk; tempfile-then-rename
+//!   writes, and quarantine of corrupt files on open.
 //!
 //! Readers are defensive: truncation, corruption and version skew surface
 //! as structured [`StoreError`]s naming the failing section, and decoded

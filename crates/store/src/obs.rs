@@ -27,12 +27,11 @@ pub struct StoreObs {
     pub save_ns: Arc<Histogram>,
     /// Whole-call [`crate::ArtifactStore::load`] latency (nanoseconds).
     pub load_ns: Arc<Histogram>,
-    /// Per-`fsync(2)` latency across artifact and manifest writes
-    /// (nanoseconds).
+    /// Per-`fsync(2)` latency across saves and removes (nanoseconds).
     pub fsync_ns: Arc<Histogram>,
     /// Files moved to `quarantine/` since attach.
     pub quarantines: Arc<Counter>,
-    /// Artifacts currently in the manifest.
+    /// Artifacts currently indexed.
     pub stored: Arc<Gauge>,
     /// Consecutive save failures (mirrors
     /// [`crate::ArtifactStore::write_failures`]).

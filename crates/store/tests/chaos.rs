@@ -1,10 +1,11 @@
 //! Chaos-Vfs regression tests for the artifact store.
 //!
-//! The headline regression: a *transient* read error while `open` verifies
-//! a manifest entry must NOT quarantine the file (the bytes may be fine —
-//! moving them aside can bury the only healthy copy). Only a checksum
-//! mismatch quarantines; a missing file drops the stale row; anything else
-//! aborts the open for the caller to retry.
+//! The headline regression: a *transient* read error while `open` checks
+//! an artifact must NOT quarantine the file (the bytes may be fine —
+//! moving them aside can bury the only healthy copy). Only a file that
+//! reads and fails its checks is quarantined; a file that vanished
+//! between the scan and the read is skipped; anything else aborts the
+//! open for the caller to retry.
 
 use std::io;
 use std::path::PathBuf;
@@ -108,26 +109,25 @@ fn interrupted_read_on_open_is_retried_transparently() {
 }
 
 #[test]
-fn transient_orphan_read_error_aborts_open_without_quarantine() {
-    let root = temp_root("orphan-transient");
-    seeded_store(&root, &["pub-orphan"]);
-    // Make it an orphan (manifest lost after the artifact rename).
-    std::fs::remove_file(root.join("MANIFEST")).unwrap();
+fn file_vanishing_during_open_is_skipped_without_quarantine() {
+    let root = temp_root("vanished");
+    seeded_store(&root, &["pub-gone", "pub-kept"]);
 
+    // The scan lists both files; the first read (`pub-gone`, in sorted
+    // order) finds it removed underneath. Nothing to judge, nothing to
+    // move: the open serves the rest.
     let chaos = Arc::new(ChaosVfs::new(FaultPlan::FailSite {
-        site: site::OPEN_READ_ORPHAN,
+        site: site::OPEN_READ_ARTIFACT,
         nth: 0,
-        kind: io::ErrorKind::PermissionDenied,
+        kind: io::ErrorKind::NotFound,
     }));
-    assert!(ArtifactStore::open_with(&root, chaos).is_err());
+    let (store, quarantined) = ArtifactStore::open_with(&root, chaos).unwrap();
+    assert!(quarantined.is_empty());
+    assert_eq!(store.handles(), vec!["pub-kept".to_string()]);
     let q: Vec<_> = std::fs::read_dir(root.join(QUARANTINE_DIR))
         .unwrap()
         .collect();
     assert!(q.is_empty());
-    // Clean reopen adopts the orphan.
-    let (store, quarantined) = ArtifactStore::open(&root).unwrap();
-    assert!(quarantined.is_empty());
-    assert!(store.load("pub-orphan").unwrap().is_some());
     let _ = std::fs::remove_dir_all(&root);
 }
 
