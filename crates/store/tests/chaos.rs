@@ -109,6 +109,40 @@ fn interrupted_read_on_open_is_retried_transparently() {
 }
 
 #[test]
+fn transient_orphan_read_error_aborts_open_without_quarantine() {
+    let root = temp_root("orphan-transient");
+    seeded_store(&root, &["pub-listed", "pub-orphan"]);
+    // A legacy data directory whose MANIFEST never learned of `pub-orphan`
+    // (a crash between the artifact rename and the manifest write). The
+    // directory scan is the index now, so the orphan is read like any
+    // other artifact — and a transient error on that read must abort the
+    // open, not quarantine the file.
+    let manifest = "{\n  \"version\": 1,\n  \"artifacts\": []\n}\n";
+    std::fs::write(root.join("MANIFEST"), manifest).unwrap();
+
+    // Reads go in sorted order: `pub-listed` first, then `pub-orphan`.
+    let chaos = Arc::new(ChaosVfs::new(FaultPlan::FailSite {
+        site: site::OPEN_READ_ARTIFACT,
+        nth: 1,
+        kind: io::ErrorKind::PermissionDenied,
+    }));
+    assert!(ArtifactStore::open_with(&root, chaos).is_err());
+    let q: Vec<_> = std::fs::read_dir(root.join(QUARANTINE_DIR))
+        .unwrap()
+        .collect();
+    assert!(q.is_empty());
+    assert_eq!(
+        std::fs::read_to_string(root.join("MANIFEST")).unwrap(),
+        manifest
+    );
+    // Clean reopen serves the orphan.
+    let (store, quarantined) = ArtifactStore::open(&root).unwrap();
+    assert!(quarantined.is_empty());
+    assert!(store.load("pub-orphan").unwrap().is_some());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn file_vanishing_during_open_is_skipped_without_quarantine() {
     let root = temp_root("vanished");
     seeded_store(&root, &["pub-gone", "pub-kept"]);
