@@ -11,7 +11,8 @@
 //!
 //! * `stages` — every BUREL stage plus the end-to-end run on the CENSUS
 //!   generator, at 1 vs N worker threads (N = `max(4,
-//!   available_parallelism)`): `hilbert_keys`, `bucketize`
+//!   available_parallelism)`): `census_generate` (the dataset itself),
+//!   `hilbert_keys`, `bucketize`
 //!   (`DPpartition`), `ectree` (`biSplit`), `materialize`, `audit`
 //!   ([`audit_partition`]), `naive_bayes` (the §7 attack) and `burel_e2e`;
 //! * `store` — BPUB snapshot size and write/read throughput, and the cold
@@ -153,7 +154,7 @@ fn main() {
         let table = Arc::new(census::generate(&CensusConfig::new(rows, args.seed)));
         for threads in [1, parallel_threads] {
             mini_rayon::set_threads(threads);
-            measure_stages(&table, &qi, threads, k, &mut records);
+            measure_stages(&table, args.seed, &qi, threads, k, &mut records);
         }
         mini_rayon::set_threads(0);
         measure_store(rows, k, &mut records);
@@ -325,8 +326,16 @@ fn sample_secs<T>(k: usize, mut f: impl FnMut() -> T) -> Vec<f64> {
     (0..k).map(|_| time_it(&mut f).1.as_secs_f64()).collect()
 }
 
-/// Times every BUREL stage at the current thread count.
-fn measure_stages(table: &Table, qi: &[usize], threads: usize, k: usize, out: &mut Vec<Record>) {
+/// Times the generation of `table` (CENSUS with `seed`) and every BUREL
+/// stage at the current thread count.
+fn measure_stages(
+    table: &Table,
+    seed: u64,
+    qi: &[usize],
+    threads: usize,
+    k: usize,
+    out: &mut Vec<Record>,
+) {
     let params = [("rows", num(table.num_rows())), ("threads", num(threads))];
     let mut push = |stage: &'static str, samples: Vec<f64>| {
         out.push(record("stages", stage, &params, "s", samples));
@@ -343,6 +352,11 @@ fn measure_stages(table: &Table, qi: &[usize], threads: usize, k: usize, out: &m
     let bucket_rows = rows_per_bucket(table, SA, &buckets);
     let partition = burel(table, qi, SA, &BurelConfig::new(BETA).with_seed(42)).expect("BUREL");
 
+    let config = CensusConfig::new(table.num_rows(), seed);
+    push(
+        "census_generate",
+        sample_secs(k, || census::generate(&config)),
+    );
     push("hilbert_keys", sample_secs(k, || hilbert_keys(table, qi)));
     push(
         "bucketize",

@@ -17,7 +17,7 @@
 //! is `O(|SG|·|ϕ|·log |B| + |DB| α(|DB|))`, matching the complexity the
 //! paper reports for the same step.
 
-use betalike_hilbert::HilbertCurve;
+use betalike_hilbert::{HilbertCurve, KeyKernel};
 use betalike_microdata::{RowId, Table};
 use rand::Rng;
 
@@ -67,10 +67,10 @@ const KEY_CHUNK: usize = 4_096;
 /// and the curve would freely mix its values inside every EC, inflating the
 /// published bounding boxes.
 ///
-/// Rows are processed in fixed chunks across the [`mini_rayon`] pool; each
-/// chunk reuses one scratch point buffer ([`HilbertCurve::index_in_place`]),
-/// so the whole computation performs one allocation per chunk. The result
-/// is bit-identical at any thread count (each key depends only on its row).
+/// The scaling is tabulated once per attribute (one `u32` per domain
+/// code), and rows go through the bulk [`KeyKernel`] in fixed chunks
+/// across the [`mini_rayon`] pool. The result is bit-identical at any
+/// thread count (each key depends only on its row).
 pub fn hilbert_keys(table: &Table, qi: &[usize]) -> Vec<u128> {
     assert!(!qi.is_empty(), "need at least one QI attribute");
     let bits = qi
@@ -80,32 +80,28 @@ pub fn hilbert_keys(table: &Table, qi: &[usize]) -> Vec<u128> {
         .expect("non-empty QI");
     let curve = HilbertCurve::new(qi.len(), bits).expect("QI grid fits the curve");
     let side = curve.max_coord() as u64;
-    let cols: Vec<&[u32]> = qi.iter().map(|&a| table.column(a)).collect();
     // Per-dimension scale: code v of cardinality c maps to
-    // round(v · side / (c − 1)); constant attributes map to 0.
-    let scales: Vec<Option<u64>> = qi
+    // round(v · side / (c − 1)); the one code of a constant attribute
+    // maps to 0.
+    let coords: Vec<Vec<u32>> = qi
         .iter()
         .map(|&a| {
             let c = table.schema().attr(a).cardinality() as u64;
-            (c > 1).then_some(c - 1)
+            let denom = c.saturating_sub(1).max(1);
+            (0..c)
+                .map(|v| ((v * side + denom / 2) / denom) as u32)
+                .collect()
         })
         .collect();
+    let kernel = KeyKernel::new(curve, coords);
+    let cols: Vec<&[u32]> = qi.iter().map(|&a| table.column(a)).collect();
     // Chunk over any one column purely to derive row ranges: chunk `c`
     // covers rows `c * KEY_CHUNK ..` (the boundary contract of
     // `par_chunks_map`).
     let chunks = mini_rayon::par_chunks_map(cols[0], KEY_CHUNK, |c, chunk| {
         let base = c * KEY_CHUNK;
-        let mut point = vec![0u32; qi.len()];
         let mut keys = Vec::with_capacity(chunk.len());
-        for r in base..base + chunk.len() {
-            for (d, col) in cols.iter().enumerate() {
-                point[d] = match scales[d] {
-                    Some(denom) => ((col[r] as u64 * side + denom / 2) / denom) as u32,
-                    None => 0,
-                };
-            }
-            keys.push(curve.index_in_place(&mut point));
-        }
+        kernel.extend_keys(&cols, base..base + chunk.len(), &mut keys);
         keys
     });
     let mut out = Vec::with_capacity(table.num_rows());
@@ -637,6 +633,40 @@ mod tests {
         let parallel = hilbert_keys(&t, &[0, 1, 2]);
         mini_rayon::set_threads(0);
         assert_eq!(serial, parallel);
+    }
+
+    /// The tabulated scaling and the bulk kernel reproduce, row by row,
+    /// the per-value division and the reference transform.
+    #[test]
+    fn hilbert_keys_match_the_reference_transform() {
+        use betalike_microdata::census::{census_schema, generate, CensusConfig};
+        let t = generate(&CensusConfig::new(3_000, 9));
+        let schema = census_schema();
+        for qi in [vec![0], vec![1, 3], vec![0, 1, 2], vec![0, 1, 2, 3, 4]] {
+            let cards: Vec<u64> = qi
+                .iter()
+                .map(|&a| schema.attr(a).cardinality() as u64)
+                .collect();
+            let bits = cards
+                .iter()
+                .map(|&c| HilbertCurve::bits_for_cardinality(c as usize))
+                .max()
+                .unwrap();
+            let curve = HilbertCurve::new(qi.len(), bits).unwrap();
+            let side = curve.max_coord() as u64;
+            let keys = hilbert_keys(&t, &qi);
+            for (r, &key) in keys.iter().enumerate() {
+                let point: Vec<u32> = qi
+                    .iter()
+                    .zip(&cards)
+                    .map(|(&a, &c)| {
+                        let v = t.value(r, a) as u64;
+                        ((v * side + (c - 1) / 2) / (c - 1)) as u32
+                    })
+                    .collect();
+                assert_eq!(key, curve.index(&point), "qi {qi:?} row {r}");
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! (*Programming the Hilbert curve*, AIP Conf. Proc. 707, 2004): coordinates
 //! are transformed in place between axes form and "transpose" form, and the
 //! transpose form is bit-interleaved into a single `u128` key.
+//! [`HilbertCurve::index`] does this one point at a time, bit by bit, and
+//! is the reference; [`KeyKernel`] is the bulk form every key builder in
+//! the workspace uses (code tables, a branch-free transpose, a
+//! table-driven interleave), pinned to the reference on every curve shape.
 //!
 //! **Limits.** A curve needs `dims ≥ 1` and `bits` in `1..=32`, and the key
 //! must fit its `u128` carrier: `dims × bits ≤ 128`. So 16 dimensions are
@@ -134,39 +138,24 @@ impl HilbertCurve {
 
     /// Maps a point to its position along the Hilbert curve.
     ///
-    /// Allocates a scratch copy of `point` per call; bulk callers should
-    /// prefer [`Self::index_in_place`], which reuses the caller's buffer.
+    /// The one-point reference form of the transform: it allocates a
+    /// scratch copy of `point` and runs Skilling's algorithm bit by bit.
+    /// Bulk callers use [`KeyKernel`], which tests pin to this.
     ///
     /// # Panics
     ///
     /// Panics if `point.len() != dims` or any coordinate exceeds
     /// [`Self::max_coord`].
     pub fn index(&self, point: &[u32]) -> u128 {
-        let mut x: Vec<u32> = point.to_vec();
-        self.index_in_place(&mut x)
-    }
-
-    /// Like [`Self::index`], but transforms `point` in place instead of
-    /// allocating a scratch copy — the zero-allocation path for bulk key
-    /// computation (BUREL maps every table row through this).
-    ///
-    /// On return `point` holds the curve's internal transpose form, not the
-    /// original coordinates; callers are expected to refill it before the
-    /// next use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `point.len() != dims` or any coordinate exceeds
-    /// [`Self::max_coord`].
-    pub fn index_in_place(&self, point: &mut [u32]) -> u128 {
         assert_eq!(point.len(), self.dims, "point has wrong dimensionality");
         let max = self.max_coord();
         assert!(
             point.iter().all(|&c| c <= max),
             "coordinate exceeds the grid side"
         );
-        self.axes_to_transpose(point);
-        self.interleave(point)
+        let mut x: Vec<u32> = point.to_vec();
+        self.axes_to_transpose(&mut x);
+        self.interleave(&x)
     }
 
     /// Maps a curve position back to its point.
@@ -297,45 +286,170 @@ impl HilbertCurve {
     }
 }
 
-/// Sorts `items` by the Hilbert index of the point produced by `coords`.
+/// Rows [`KeyKernel`] transforms together: every step of the transform
+/// runs across a block of rows at once, a loop the compiler vectorizes.
+const BLOCK: usize = 64;
+
+/// Bulk Hilbert keys for rows of small integer codes: the transform of
+/// [`HilbertCurve::index`], rebuilt for throughput.
 ///
-/// Convenience used by BUREL's `Retrieve`: `coords` maps an item to its
-/// (already grid-scaled) QI coordinates; the sort is stable so equal keys
-/// preserve input order, keeping results deterministic.
-pub fn sort_by_hilbert<T, F>(curve: &HilbertCurve, items: &mut [T], mut coords: F)
-where
-    F: FnMut(&T) -> Vec<u32>,
-{
-    let mut keyed: Vec<(u128, usize)> = items
-        .iter()
-        .enumerate()
-        .map(|(i, it)| (curve.index(&coords(it)), i))
-        .collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-    let order: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
-    apply_permutation(items, &order);
+/// * Each dimension maps its codes to grid coordinates through a table
+///   built once, instead of scaling (a division) per value.
+/// * Skilling's transpose runs with bit masks instead of branches, on
+///   blocks of rows at once.
+/// * The transpose form is interleaved by table lookup, a byte of each
+///   coordinate at a time, instead of bit by bit.
+///
+/// Every key equals [`HilbertCurve::index`] of the looked-up point.
+///
+/// ```
+/// use betalike_hilbert::{HilbertCurve, KeyKernel};
+///
+/// let curve = HilbertCurve::new(2, 4).unwrap();
+/// // Dimension 0 spreads codes 0..=2 over the grid side; dimension 1 is
+/// // the identity on 0..=15.
+/// let kernel = KeyKernel::new(curve, vec![vec![0, 8, 15], (0..16).collect()]);
+/// let (a, b) = ([2u32, 0, 1], [5u32, 9, 15]);
+/// let mut keys = Vec::new();
+/// kernel.extend_keys(&[&a, &b], 0..3, &mut keys);
+/// assert_eq!(keys[0], curve.index(&[15, 5]));
+/// assert_eq!(keys[2], curve.index(&[8, 15]));
+/// ```
+#[derive(Debug)]
+pub struct KeyKernel {
+    curve: HilbertCurve,
+    /// Per dimension: code → grid coordinate.
+    coords: Vec<Vec<u32>>,
+    /// `spread[b]`: bit `j` of byte `b` moved to bit `j · dims`, for every
+    /// byte value a coordinate of `bits` bits can hold.
+    spread: Vec<u128>,
 }
 
-/// Reorders `items` so that `items[k] = old_items[order[k]]`.
-fn apply_permutation<T>(items: &mut [T], order: &[usize]) {
-    debug_assert_eq!(items.len(), order.len());
-    let mut visited = vec![false; items.len()];
-    for start in 0..items.len() {
-        if visited[start] || order[start] == start {
-            visited[start] = true;
-            continue;
+impl KeyKernel {
+    /// A kernel over `curve` whose dimension `d` maps code `v` to the grid
+    /// coordinate `coords[d][v]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coords.len() != curve.dims()` or any coordinate exceeds
+    /// [`HilbertCurve::max_coord`].
+    pub fn new(curve: HilbertCurve, coords: Vec<Vec<u32>>) -> Self {
+        assert_eq!(
+            coords.len(),
+            curve.dims,
+            "coordinate tables have wrong dimensionality"
+        );
+        let max = curve.max_coord();
+        assert!(
+            coords.iter().flatten().all(|&c| c <= max),
+            "coordinate exceeds the grid side"
+        );
+        // Bytes of a coordinate hold at most `bits` bits, and bit `j` of a
+        // coordinate lands at `j · dims < bits · dims ≤ 128`.
+        let byte_bits = curve.bits.min(8);
+        let spread = (0..1u32 << byte_bits)
+            .map(|b| {
+                (0..byte_bits)
+                    .filter(|j| b >> j & 1 == 1)
+                    .fold(0u128, |acc, j| acc | 1u128 << (j as usize * curve.dims))
+            })
+            .collect();
+        KeyKernel {
+            curve,
+            coords,
+            spread,
         }
-        // Rotate the cycle containing `start`: repeatedly swap the target
-        // slot with the slot its content should come from.
-        let mut cur = start;
-        loop {
-            let src = order[cur];
-            visited[cur] = true;
-            if visited[src] {
-                break;
+    }
+
+    /// Appends to `out` the key of every row in `rows`, where row `r` has
+    /// code `cols[d][r]` on dimension `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols.len() != dims`, a column is shorter than
+    /// `rows.end`, or a code has no coordinate.
+    pub fn extend_keys(&self, cols: &[&[u32]], rows: std::ops::Range<usize>, out: &mut Vec<u128>) {
+        assert_eq!(
+            cols.len(),
+            self.curve.dims,
+            "columns have wrong dimensionality"
+        );
+        // `x[d][j]`: dimension `d` of the block's row `j`. Slots past a
+        // short last block keep earlier coordinates and are ignored.
+        let mut x = vec![[0u32; BLOCK]; self.curve.dims];
+        let mut keys = [0u128; BLOCK];
+        out.reserve(rows.len());
+        for lo in rows.clone().step_by(BLOCK) {
+            let len = BLOCK.min(rows.end - lo);
+            for (xd, (col, table)) in x.iter_mut().zip(cols.iter().zip(&self.coords)) {
+                for (c, &code) in xd.iter_mut().zip(&col[lo..lo + len]) {
+                    *c = table[code as usize];
+                }
             }
-            items.swap(cur, src);
-            cur = src;
+            self.axes_to_transpose(&mut x);
+            self.interleave(&x, &mut keys);
+            out.extend_from_slice(&keys[..len]);
+        }
+    }
+
+    /// [`HilbertCurve::axes_to_transpose`] on a block of points at once,
+    /// with masks for branches: for each bit `k` from the top down, every
+    /// coordinate whose bit `k` is set inverts the low bits of `x[0]`,
+    /// and every other coordinate exchanges its low bits with `x[0]`'s.
+    fn axes_to_transpose(&self, x: &mut [[u32; BLOCK]]) {
+        let (head, rest) = x.split_first_mut().expect("a curve has dimensions");
+        for k in (1..self.curve.bits).rev() {
+            let low = (1u32 << k) - 1;
+            // All ones where bit `k` of `v` is set.
+            let set = |v: u32| 0u32.wrapping_sub(v >> k & 1);
+            for v0 in head.iter_mut() {
+                *v0 ^= low & set(*v0);
+            }
+            for xi in rest.iter_mut() {
+                for (v0, vi) in head.iter_mut().zip(xi.iter_mut()) {
+                    let s = set(*vi);
+                    let t = (*v0 ^ *vi) & low & !s;
+                    *v0 ^= (low & s) | t;
+                    *vi ^= t;
+                }
+            }
+        }
+        // Gray encode: x[i] ^= x[i-1], in order.
+        let mut last = *head;
+        for xi in rest.iter_mut() {
+            for (vi, prev) in xi.iter_mut().zip(&last) {
+                *vi ^= prev;
+            }
+            last = *xi;
+        }
+        // Bit `j` of the correction is the parity of the bits of the last
+        // coordinate above `j`: a suffix XOR of `x[n-1] >> 1`.
+        for v in last.iter_mut() {
+            let mut t = *v >> 1;
+            for shift in [1, 2, 4, 8, 16] {
+                t ^= t >> shift;
+            }
+            *v = t;
+        }
+        for xi in x.iter_mut() {
+            for (vi, t) in xi.iter_mut().zip(&last) {
+                *vi ^= t;
+            }
+        }
+    }
+
+    /// [`HilbertCurve::interleave`] a byte per lookup: coordinate `i`'s
+    /// bit `j` lands at key bit `j · dims + (dims − 1 − i)`.
+    fn interleave(&self, x: &[[u32; BLOCK]], keys: &mut [u128; BLOCK]) {
+        let n = self.curve.dims;
+        keys.fill(0);
+        for (i, xi) in x.iter().enumerate() {
+            for byte in 0..self.curve.bits.div_ceil(8) as usize {
+                let shift = 8 * byte * n + (n - 1 - i);
+                for (key, &v) in keys.iter_mut().zip(xi) {
+                    *key |= self.spread[(v >> (8 * byte) & 0xff) as usize] << shift;
+                }
+            }
         }
     }
 }
@@ -519,47 +633,102 @@ mod tests {
         assert!(hilbert_sum / count < rowmajor_avg * 0.9);
     }
 
-    #[test]
-    fn sort_by_hilbert_orders_points() {
-        let curve = HilbertCurve::new(2, 2).unwrap();
-        let mut pts = vec![[3u32, 0], [0, 0], [1, 1], [0, 1]];
-        sort_by_hilbert(&curve, &mut pts, |p| p.to_vec());
-        // In Skilling's convention the first axis moves first:
-        // (0,0)=0, (1,0)=1, (1,1)=2, (0,1)=3, … so the order is below.
-        assert_eq!(pts, vec![[0, 0], [1, 1], [0, 1], [3, 0]]);
+    /// Every curve the constructor accepts: `dims · bits ≤ 128`.
+    fn every_curve() -> impl Iterator<Item = HilbertCurve> {
+        (1..=128usize).flat_map(|dims| {
+            (1..=(128 / dims).min(32) as u32)
+                .map(move |bits| HilbertCurve::new(dims, bits).unwrap())
+        })
     }
 
     #[test]
-    fn index_in_place_matches_index() {
+    fn every_curve_is_enumerated() {
+        assert_eq!(every_curve().count(), 507);
+        assert!(every_curve().any(|c| c.dims() == 4 && c.bits() == 32));
+        assert!(every_curve().any(|c| c.dims() == 128 && c.bits() == 1));
+    }
+
+    #[test]
+    fn kernel_keys_order_points() {
+        let curve = HilbertCurve::new(2, 2).unwrap();
+        let kernel = KeyKernel::new(curve, vec![(0..4).collect(), (0..4).collect()]);
+        let pts = [[3u32, 0], [0, 0], [1, 1], [0, 1]];
+        let (xs, ys): (Vec<u32>, Vec<u32>) = pts.iter().map(|p| (p[0], p[1])).unzip();
+        let mut keys = Vec::new();
+        kernel.extend_keys(&[&xs, &ys], 0..pts.len(), &mut keys);
+        let mut order: Vec<usize> = (0..pts.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        // In Skilling's convention the first axis moves first:
+        // (0,0)=0, (1,0)=1, (1,1)=2, (0,1)=3, … so the order is below.
+        let sorted: Vec<[u32; 2]> = order.iter().map(|&i| pts[i]).collect();
+        assert_eq!(sorted, vec![[0, 0], [1, 1], [0, 1], [3, 0]]);
+    }
+
+    /// Row ranges that start mid-block and span many blocks, with a short
+    /// last block.
+    #[test]
+    fn kernel_matches_index_across_blocks() {
         let curve = HilbertCurve::new(3, 5).unwrap();
-        let mut scratch = vec![0u32; 3];
-        for p in [[0u32, 0, 0], [31, 31, 31], [13, 1, 9], [7, 30, 2]] {
-            scratch.copy_from_slice(&p);
-            assert_eq!(curve.index_in_place(&mut scratch), curve.index(&p));
+        let table: Vec<u32> = (0..32).rev().collect();
+        let kernel = KeyKernel::new(curve, vec![table.clone(), table.clone(), table.clone()]);
+        let cols: Vec<Vec<u32>> = (0..3u32)
+            .map(|d| (0..1_000u32).map(|r| (r * (7 + 2 * d) + d) % 32).collect())
+            .collect();
+        let col_refs: Vec<&[u32]> = cols.iter().map(Vec::as_slice).collect();
+        for rows in [0..1_000, 7..1_000, 130..131, 64..128, 5..5] {
+            let mut keys = Vec::new();
+            kernel.extend_keys(&col_refs, rows.clone(), &mut keys);
+            assert_eq!(keys.len(), rows.len());
+            for (key, r) in keys.into_iter().zip(rows) {
+                let point: Vec<u32> = cols.iter().map(|c| table[c[r] as usize]).collect();
+                assert_eq!(key, curve.index(&point), "row {r}");
+            }
         }
     }
 
     #[test]
     #[should_panic(expected = "wrong dimensionality")]
-    fn index_in_place_wrong_dims_panics() {
-        let mut p = [0u32; 3];
-        HilbertCurve::new(2, 2).unwrap().index_in_place(&mut p);
+    fn kernel_wrong_dims_panics() {
+        let kernel = KeyKernel::new(HilbertCurve::new(2, 2).unwrap(), vec![vec![0], vec![0]]);
+        kernel.extend_keys(&[&[0]], 0..1, &mut Vec::new());
     }
 
     #[test]
-    fn apply_permutation_cycles() {
-        let mut v = vec!["a", "b", "c", "d", "e"];
-        apply_permutation(&mut v, &[4, 3, 2, 1, 0]);
-        assert_eq!(v, vec!["e", "d", "c", "b", "a"]);
-        let mut w = vec![10, 20, 30];
-        apply_permutation(&mut w, &[1, 2, 0]);
-        assert_eq!(w, vec![20, 30, 10]);
-        let mut x = vec![1, 2];
-        apply_permutation(&mut x, &[0, 1]);
-        assert_eq!(x, vec![1, 2]);
+    #[should_panic(expected = "exceeds the grid side")]
+    fn kernel_rejects_off_grid_coordinates() {
+        KeyKernel::new(HilbertCurve::new(2, 2).unwrap(), vec![vec![0], vec![4]]);
     }
 
     proptest! {
+        /// The bulk kernel equals the reference transform on every curve
+        /// shape, for random points plus the grid's two extreme corners.
+        #[test]
+        fn kernel_matches_index_on_every_curve(raw in proptest::collection::vec(0u32..u32::MAX, 4 * 128)) {
+            for curve in every_curve() {
+                let n = curve.dims();
+                let max = curve.max_coord();
+                // Dimension d's table: four random coordinates, then 0
+                // and the maximum; rows read the table in a shuffled order.
+                let coords: Vec<Vec<u32>> = (0..n)
+                    .map(|d| {
+                        let mut t: Vec<u32> = (0..4).map(|r| raw[r * 128 + d] & max).collect();
+                        t.extend([0, max]);
+                        t
+                    })
+                    .collect();
+                let codes = [3u32, 5, 1, 4, 0, 2];
+                let cols: Vec<&[u32]> = vec![&codes[..]; n];
+                let kernel = KeyKernel::new(curve, coords.clone());
+                let mut keys = vec![7u128];
+                kernel.extend_keys(&cols, 1..codes.len(), &mut keys);
+                prop_assert_eq!(keys.len(), codes.len());
+                for (r, &key) in keys.iter().enumerate().skip(1) {
+                    let point: Vec<u32> = coords.iter().map(|t| t[codes[r] as usize]).collect();
+                    prop_assert_eq!(key, curve.index(&point), "dims {} bits {} row {}", n, curve.bits(), r);
+                }
+            }
+        }
+
         #[test]
         fn roundtrip_2d(x in 0u32..256, y in 0u32..256) {
             let curve = HilbertCurve::new(2, 8).unwrap();
@@ -599,15 +768,5 @@ mod tests {
             prop_assert_eq!(dist, 1);
         }
 
-        #[test]
-        fn sorted_permutation_matches_naive(keys in proptest::collection::vec(0u32..64, 0..40)) {
-            let curve = HilbertCurve::new(2, 6).unwrap();
-            let mut items: Vec<(u32, u32)> =
-                keys.iter().map(|&k| (k % 8, k / 8)).collect();
-            let mut expected = items.clone();
-            expected.sort_by_key(|&(x, y)| curve.index(&[x, y]));
-            sort_by_hilbert(&curve, &mut items, |&(x, y)| vec![x, y]);
-            prop_assert_eq!(items, expected);
-        }
     }
 }

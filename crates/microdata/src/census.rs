@@ -234,16 +234,16 @@ pub fn target_salary_marginal() -> Vec<f64> {
     freqs
 }
 
-/// Standard normal sample via Box–Muller.
+/// Standard normal sample via Box–Muller (four keystream words).
 fn randn(rng: &mut ChaCha8Rng) -> f64 {
     let u1: f64 = rng.gen::<f64>().max(1e-300);
     let u2: f64 = rng.gen::<f64>();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Samples an index proportionally to `weights` (need not be normalized).
-fn sample_weighted(rng: &mut ChaCha8Rng, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
+/// Samples an index proportionally to `weights` (need not be normalized),
+/// whose sum is `total` (two keystream words).
+fn sample_weighted(rng: &mut ChaCha8Rng, weights: &[f64], total: f64) -> usize {
     let mut x = rng.gen::<f64>() * total;
     for (i, &w) in weights.iter().enumerate() {
         x -= w;
@@ -306,9 +306,10 @@ fn cell_jitter(seed: u64, a: u64, b: u64, c: u64) -> f64 {
     next() + next() - 1.0
 }
 
-/// Latent salary score; salary classes are assigned by the rank of this
-/// score among the coupled rows, so the mapping is monotone in the score
-/// while the marginal stays fixed.
+/// The latent salary score of a row without its per-row noise: the row's
+/// score is this plus `0.15 · randn`. Salary classes are assigned by the
+/// rank of the score among the coupled rows, so the mapping is monotone in
+/// the score while the marginal stays fixed.
 ///
 /// The dominant noise term is **per demographic cell** (age band ×
 /// education × work class), not per row: in real census microdata, people
@@ -317,7 +318,7 @@ fn cell_jitter(seed: u64, a: u64, b: u64, c: u64) -> f64 {
 /// with distribution constraints — the effect the paper's Figures 5–8
 /// measure — while BUREL, which assembles ECs by composition, is
 /// unaffected.
-fn salary_score(rng: &mut ChaCha8Rng, seed: u64, age: u32, edu: u32, work: usize) -> f64 {
+fn salary_score_prefix(seed: u64, age: u32, edu: u32, work: usize) -> f64 {
     // Cell-keyed, *level-quantized* jitter: every fine demographic cell
     // (age six-band x education x work class) is assigned one of five
     // salary levels, mimicking occupation-driven salary bands. Because the
@@ -336,14 +337,128 @@ fn salary_score(rng: &mut ChaCha8Rng, seed: u64, age: u32, edu: u32, work: usize
     let age_score = 1.0 - ((age as f64 - 52.0) / 20.0).powi(2);
     let raw = cell_jitter(seed, (age / 6) as u64, edu as u64, work as u64);
     let level = (raw * 2.0).round() / 2.0; // five levels in {-1,...,1}
-    0.45 * edu_score
-        + 0.3 * age_score
-        + 0.4 * SECTOR_EFFECT[sector]
-        + 1.1 * level
-        + 0.15 * randn(rng)
+    0.45 * edu_score + 0.3 * age_score + 0.4 * SECTOR_EFFECT[sector] + 1.1 * level
+}
+
+/// Rows per generation chunk; chunks run in parallel on the
+/// [`mini_rayon`] pool.
+const ROW_CHUNK: usize = 4_096;
+
+/// Keystream words one row consumes: three Box–Muller normals (4 words
+/// each), one `gen_bool` and two weighted draws (2 words each). The count
+/// is fixed, so the draws of row `r` start at word `18 · r` and a chunk
+/// can seek straight to its first row.
+const WORDS_PER_ROW: u128 = 18;
+
+/// Age codes (ages 16..=94).
+const AGES: usize = 79;
+/// Education codes (levels 1..=17).
+const EDUS: usize = 17;
+/// Work-class codes.
+const WORKS: usize = 10;
+
+/// Everything a row draws against that depends only on its age,
+/// education and work class, computed once per [`generate`] call with the
+/// same expressions (and so the same bits) a per-row evaluation gives.
+struct RowTerms {
+    /// `edu_mu` per age code.
+    edu_mu: [f64; AGES],
+    /// Marital weights and their sum per age code.
+    marital: [([f64; 6], f64); AGES],
+    /// Work-class weights and their sum per `age · EDUS + edu` code.
+    work: Vec<([f64; 10], f64)>,
+    /// [`salary_score_prefix`] per `(age · EDUS + edu) · WORKS + work`
+    /// code.
+    score_prefix: Vec<f64>,
+}
+
+impl RowTerms {
+    fn new(seed: u64) -> Self {
+        let weighted = |w: [f64; 10]| (w, w.iter().sum::<f64>());
+        let mut work = Vec::with_capacity(AGES * EDUS);
+        let mut score_prefix = Vec::with_capacity(AGES * EDUS * WORKS);
+        for age in 16..16 + AGES as u32 {
+            for edu in 1..1 + EDUS as u32 {
+                work.push(weighted(work_class_weights(age, edu)));
+                for w in 0..WORKS {
+                    score_prefix.push(salary_score_prefix(seed, age, edu, w));
+                }
+            }
+        }
+        RowTerms {
+            edu_mu: std::array::from_fn(|a| {
+                let age = (a + 16) as f64;
+                6.0 + 8.0 * (((age - 16.0) / 30.0).clamp(0.0, 1.0))
+            }),
+            marital: std::array::from_fn(|a| {
+                let w = marital_weights(a as u32 + 16);
+                (w, w.iter().sum())
+            }),
+            work,
+            score_prefix,
+        }
+    }
+}
+
+/// The QI columns and latent salary scores of one chunk of rows.
+#[derive(Default)]
+struct RowChunk {
+    age: Vec<Value>,
+    gender: Vec<Value>,
+    edu: Vec<Value>,
+    marital: Vec<Value>,
+    work: Vec<Value>,
+    scores: Vec<f64>,
+}
+
+/// Draws `len` rows from `rng`, which sits at the first row's keystream
+/// word; each row consumes exactly [`WORDS_PER_ROW`] words.
+fn draw_rows(rng: &mut ChaCha8Rng, terms: &RowTerms, len: usize) -> RowChunk {
+    let mut out = RowChunk {
+        age: Vec::with_capacity(len),
+        gender: Vec::with_capacity(len),
+        edu: Vec::with_capacity(len),
+        marital: Vec::with_capacity(len),
+        work: Vec::with_capacity(len),
+        scores: Vec::with_capacity(len),
+    };
+    for _ in 0..len {
+        let age = (40.0 + 15.0 * randn(rng)).round().clamp(16.0, 94.0) as usize - 16;
+        let gender = Value::from(rng.gen_bool(0.5));
+        let edu = (terms.edu_mu[age] + 3.0 * randn(rng))
+            .round()
+            .clamp(1.0, 17.0) as usize
+            - 1;
+        let (weights, total) = &terms.marital[age];
+        let marital = sample_weighted(rng, weights, *total);
+        let cell = age * EDUS + edu;
+        let (weights, total) = &terms.work[cell];
+        let work = sample_weighted(rng, weights, *total);
+        out.scores
+            .push(terms.score_prefix[cell * WORKS + work] + 0.15 * randn(rng));
+        out.age.push(age as Value);
+        out.gender.push(gender);
+        out.edu.push(edu as Value);
+        out.marital.push(marital as Value);
+        out.work.push(work as Value);
+    }
+    out
+}
+
+/// `f64::total_cmp` as an unsigned key: flipping every bit of a negative
+/// value and the sign bit of a positive one makes the bit patterns sort
+/// like the floats.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | (1 << 63))
 }
 
 /// Generates a CENSUS table per the module docs.
+///
+/// Rows are drawn in chunks of [`ROW_CHUNK`] across the [`mini_rayon`]
+/// pool. Each chunk seeks its own clone of the seeded generator to its
+/// first row's keystream word ([`WORDS_PER_ROW`] per row), so the table is
+/// bit-identical to a one-row-at-a-time draw at any thread count.
 ///
 /// # Panics
 ///
@@ -352,29 +467,30 @@ pub fn generate(cfg: &CensusConfig) -> Table {
     assert!(cfg.rows > 0, "cannot generate an empty CENSUS table");
     let schema = census_schema();
     let n = cfg.rows;
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    let seeded = ChaCha8Rng::seed_from_u64(cfg.seed);
+    let terms = RowTerms::new(cfg.seed);
 
-    let mut age_col = Vec::with_capacity(n);
-    let mut gender_col = Vec::with_capacity(n);
-    let mut edu_col = Vec::with_capacity(n);
-    let mut marital_col = Vec::with_capacity(n);
-    let mut work_col = Vec::with_capacity(n);
-    let mut scores = Vec::with_capacity(n);
-
-    for _ in 0..n {
-        let age = (40.0 + 15.0 * randn(&mut rng)).round().clamp(16.0, 94.0) as u32;
-        let gender = u32::from(rng.gen_bool(0.5));
-        let edu_mu = 6.0 + 8.0 * (((age as f64 - 16.0) / 30.0).clamp(0.0, 1.0));
-        let edu = (edu_mu + 3.0 * randn(&mut rng)).round().clamp(1.0, 17.0) as u32;
-        let marital = sample_weighted(&mut rng, &marital_weights(age)) as Value;
-        let work = sample_weighted(&mut rng, &work_class_weights(age, edu));
-        scores.push(salary_score(&mut rng, cfg.seed, age, edu, work));
-        age_col.push(age - 16);
-        gender_col.push(gender);
-        edu_col.push(edu - 1);
-        marital_col.push(marital);
-        work_col.push(work as Value);
+    let starts: Vec<usize> = (0..n).step_by(ROW_CHUNK).collect();
+    let chunks = mini_rayon::par_map(&starts, |&lo| {
+        let mut rng = seeded.clone();
+        rng.set_word_pos(WORDS_PER_ROW * lo as u128);
+        let len = ROW_CHUNK.min(n - lo);
+        let chunk = draw_rows(&mut rng, &terms, len);
+        debug_assert_eq!(rng.get_word_pos(), WORDS_PER_ROW * (lo + len) as u128);
+        chunk
+    });
+    let mut rows = RowChunk::default();
+    for chunk in chunks {
+        rows.age.extend(chunk.age);
+        rows.gender.extend(chunk.gender);
+        rows.edu.extend(chunk.edu);
+        rows.marital.extend(chunk.marital);
+        rows.work.extend(chunk.work);
+        rows.scores.extend(chunk.scores);
     }
+    // The salary draws continue the keystream after the last row.
+    let mut rng = seeded;
+    rng.set_word_pos(WORDS_PER_ROW * n as u128);
 
     // Salary assignment: an exact-marginal mixture of a rank coupling (the
     // `corr_mix` fraction of rows, sorted by latent score) and independent
@@ -413,21 +529,25 @@ pub fn generate(cfg: &CensusConfig) -> Table {
     }
 
     let mut salary_col = vec![0 as Value; n];
-    // Coupled rows: ascending latent score -> ascending salary class.
-    let mut coupled_rows: Vec<usize> = (0..n).filter(|&r| is_coupled[r]).collect();
-    coupled_rows.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
+    // Coupled rows: ascending latent score -> ascending salary class, ties
+    // broken by row (the pairs are unique, so an unstable sort is exact).
+    let mut coupled: Vec<(u64, usize)> = (0..n)
+        .filter(|&r| is_coupled[r])
+        .map(|r| (total_order_key(rows.scores[r]), r))
+        .collect();
+    coupled.sort_unstable();
     let mut cursor = 0usize;
     for (class, &count) in coupled_counts.iter().enumerate() {
         for _ in 0..count {
-            salary_col[coupled_rows[cursor]] = class as Value;
+            salary_col[coupled[cursor].1] = class as Value;
             cursor += 1;
         }
     }
-    debug_assert_eq!(cursor, coupled_rows.len());
+    debug_assert_eq!(cursor, coupled.len());
 
     // Independent rows: a seeded random permutation of the leftover
     // multiset.
-    let mut leftover: Vec<Value> = Vec::with_capacity(n - coupled_rows.len());
+    let mut leftover: Vec<Value> = Vec::with_capacity(n - coupled.len());
     for (class, (&total, &coupled)) in counts.iter().zip(&coupled_counts).enumerate() {
         for _ in 0..(total - coupled) {
             leftover.push(class as Value);
@@ -446,11 +566,11 @@ pub fn generate(cfg: &CensusConfig) -> Table {
     Table::from_columns(
         schema,
         vec![
-            age_col,
-            gender_col,
-            edu_col,
-            marital_col,
-            work_col,
+            rows.age,
+            rows.gender,
+            rows.edu,
+            rows.marital,
+            rows.work,
             salary_col,
         ],
     )

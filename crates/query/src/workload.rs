@@ -45,7 +45,8 @@ impl RangePred {
 /// One COUNT(*) aggregation query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggQuery {
-    /// Predicates over (distinct) QI attributes.
+    /// Predicates over QI attributes; several on one attribute form a
+    /// conjunction.
     pub qi_preds: Vec<RangePred>,
     /// The SA predicate.
     pub sa_pred: RangePred,

@@ -293,3 +293,55 @@ proptest! {
         }
     }
 }
+
+/// Several predicates on one attribute form a conjunction: the exact
+/// count is the count under their intersection (zero when they are
+/// disjoint), and every publication form's catalog answers the list
+/// exactly as its scan does, estimates bit for bit.
+#[test]
+fn same_attribute_predicates_form_a_conjunction() {
+    let table = Arc::new(census::generate(&CensusConfig::new(800, 5)));
+    let sa = census::attr::SALARY;
+    let qi: Vec<usize> = (0..3).collect();
+    let mut answerers: Vec<(&str, PublishedAnswerer)> = generalizations(&table, &qi, sa)
+        .into_iter()
+        .map(|(name, p)| (name, PublishedAnswerer::generalized(Arc::clone(&table), &p)))
+        .collect();
+    answerers.push((
+        "anatomy",
+        PublishedAnswerer::anatomy(Arc::clone(&table), sa),
+    ));
+    let model = BetaLikeness::new(4.0).unwrap();
+    let published = perturb(&table, sa, &model, 7).unwrap();
+    answerers.push((
+        "perturb",
+        PublishedAnswerer::perturbed(Arc::clone(&table), published),
+    ));
+    assert_eq!(answerers.len(), 5, "every scheme publishes");
+
+    let age = |lo, hi| RangePred {
+        attr: census::attr::AGE,
+        lo,
+        hi,
+    };
+    let sa_pred = RangePred {
+        attr: sa,
+        lo: 5,
+        hi: 40,
+    };
+    let query = |qi_preds: Vec<RangePred>| AggQuery { qi_preds, sa_pred };
+    let overlapping = query(vec![age(5, 40), age(20, 60)]);
+    let intersection = query(vec![age(20, 40)]);
+    let disjoint = query(vec![age(0, 10), age(30, 50)]);
+    let repeated = query(vec![age(20, 40), age(20, 40), age(20, 40)]);
+    for (name, answerer) in &answerers {
+        for q in [&overlapping, &disjoint, &repeated] {
+            assert_paths_agree(answerer, q, name);
+        }
+        let exact = answerer.exact(&intersection);
+        assert!(exact > 0, "{name}: the intersection matches rows");
+        assert_eq!(answerer.exact(&overlapping), exact, "{name}");
+        assert_eq!(answerer.exact(&repeated), exact, "{name}");
+        assert_eq!(answerer.exact(&disjoint), 0, "{name}");
+    }
+}

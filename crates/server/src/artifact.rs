@@ -10,6 +10,7 @@
 use crate::registry::{Dataset, Registry};
 use crate::wire::{Algo, PublishRequest};
 use betalike::model::{BetaLikeness, BoundKind};
+use betalike::retrieve::hilbert_keys;
 use betalike::{burel_with_keys, perturb, BurelConfig};
 use betalike_baselines::constraints::LikenessConstraint;
 use betalike_baselines::mondrian::{mondrian, MondrianConfig};
@@ -110,7 +111,7 @@ impl Artifact {
         let mut alphas = None;
         let mut answerer = match request.algo {
             Algo::Burel => {
-                let keys = registry.hilbert_keys(&dataset, &qi);
+                let keys = hilbert_keys(&table, &qi);
                 let cfg = BurelConfig::new(request.beta).with_seed(request.seed);
                 let p = burel_with_keys(&table, &qi, sa, &cfg, &keys).map_err(|e| e.to_string())?;
                 let ans = PublishedAnswerer::generalized_opt(Arc::clone(&table), &p, catalog);
@@ -118,7 +119,7 @@ impl Artifact {
                 ans
             }
             Algo::Sabre => {
-                let keys = registry.hilbert_keys(&dataset, &qi);
+                let keys = hilbert_keys(&table, &qi);
                 let cfg = SabreConfig::new(request.t).with_seed(request.seed);
                 let p = sabre_with_keys(&table, &qi, sa, &cfg, &keys).map_err(|e| e.to_string())?;
                 let ans = PublishedAnswerer::generalized_opt(Arc::clone(&table), &p, catalog);

@@ -1,14 +1,10 @@
-//! The dataset registry: named dataset specifications, lazily generated
-//! tables, and cached QI geometry (per-row Hilbert keys).
+//! The dataset registry: named dataset specifications and lazily
+//! generated tables.
 //!
 //! Every dataset the workspace knows how to produce is describable as a
 //! small [`DatasetSpec`] (generator + parameters); generators are seeded,
 //! so a spec is a *name* for a concrete table. The registry materializes
-//! each spec at most once and shares the result behind [`Arc`]s, and does
-//! the same for the Hilbert keys of each `(dataset, QI prefix)` pair — the
-//! expensive geometry BUREL and SABRE both materialize over.
-
-use betalike::retrieve::hilbert_keys;
+//! each spec at most once and shares the result behind [`Arc`]s.
 use betalike_microdata::census::{self, CensusConfig};
 use betalike_microdata::json::Json;
 use betalike_microdata::patients;
@@ -231,11 +227,10 @@ pub struct Dataset {
     pub sa: usize,
 }
 
-/// The process-wide dataset and QI-geometry cache.
+/// The process-wide dataset cache.
 #[derive(Debug, Default)]
 pub struct Registry {
     datasets: LazyMap<Arc<Dataset>>,
-    keys: LazyMap<Arc<Vec<u128>>>,
 }
 
 impl Registry {
@@ -249,15 +244,6 @@ impl Registry {
         let key = spec.canonical();
         self.datasets
             .get_or_init(&key, || Arc::new(materialize(spec, key.clone())))
-    }
-
-    /// The per-row Hilbert keys of `dataset` over the QI prefix `qi`,
-    /// computed on first use — BUREL and SABRE publications over the same
-    /// geometry then share one transform.
-    pub fn hilbert_keys(&self, dataset: &Dataset, qi: &[usize]) -> Arc<Vec<u128>> {
-        let key = format!("{}|qi={qi:?}", dataset.key);
-        self.keys
-            .get_or_init(&key, || Arc::new(hilbert_keys(&dataset.table, qi)))
     }
 
     /// Canonical keys of every dataset materialized so far, sorted.
@@ -362,10 +348,6 @@ mod tests {
         let b = reg.dataset(&spec);
         assert!(Arc::ptr_eq(&a, &b), "specs must share one table");
         assert_eq!(a.table.num_rows(), 200);
-        let k1 = reg.hilbert_keys(&a, &a.qi_pool);
-        let k2 = reg.hilbert_keys(&a, &a.qi_pool);
-        assert!(Arc::ptr_eq(&k1, &k2), "geometry must be cached");
-        assert_eq!(k1.len(), 200);
         assert_eq!(reg.loaded(), vec![spec.canonical()]);
     }
 

@@ -93,3 +93,39 @@ fn health_counts_only_resident_artifacts() {
         "a failed publish is not a resident artifact: {health:?}"
     );
 }
+
+/// A key repeated in a request object resolves to its first occurrence
+/// (what `Json::get` returns); later duplicates are ignored, not
+/// rejected.
+#[test]
+fn duplicate_keys_resolve_to_their_first_occurrence() {
+    let local = local();
+    let (pong, _) = local.respond_line(r#"{"op":"ping","op":"no-such-op"}"#);
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    let error = error_of(&local, r#"{"op":"no-such-op","op":"ping"}"#);
+    assert!(error.contains("no-such-op"), "{error}");
+
+    let error = error_of(
+        &local,
+        r#"{"op":"publish","dataset":"census","rows":0,"rows":500,"algo":"anatomy"}"#,
+    );
+    assert!(error.contains("`rows`"), "{error}");
+    let (published, _) = local.respond_line(
+        r#"{"op":"publish","dataset":"census","rows":500,"rows":0,"algo":"anatomy"}"#,
+    );
+    let handle = Json::parse(&published)
+        .ok()
+        .and_then(|doc| doc.get("handle").and_then(Json::as_str).map(str::to_string))
+        .unwrap_or_else(|| panic!("the first `rows` publishes: {published}"));
+
+    let count = |first: &str, second: &str| {
+        format!(
+            r#"{{"op":"count","handle":"{first}","handle":"{second}","preds":[],"sa":{{"lo":0,"hi":49}},"exact":true}}"#
+        )
+    };
+    let (counted, _) = local.respond_line(&count(&handle, "pub-missing"));
+    assert!(counted.contains("\"exact\":500"), "{counted}");
+    let error = error_of(&local, &count("pub-missing", &handle));
+    assert!(error.contains("pub-missing"), "{error}");
+    assert_pings(&local);
+}
