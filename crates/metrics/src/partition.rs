@@ -141,6 +141,14 @@ impl Partition {
     }
 }
 
+/// Shares a copy of a borrowed partition, so APIs that keep a partition
+/// (`Arc<Partition>`) also accept a `&Partition`.
+impl From<&Partition> for std::sync::Arc<Partition> {
+    fn from(p: &Partition) -> Self {
+        std::sync::Arc::new(p.clone())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

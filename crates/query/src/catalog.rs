@@ -38,7 +38,7 @@ use crate::workload::{AggQuery, RangePred};
 use betalike::perturb::PerturbedTable;
 use betalike::retrieve::hilbert_keys;
 use betalike_metrics::Partition;
-use betalike_microdata::{AttrKind, RowId, Table};
+use betalike_microdata::{Hierarchy, Table};
 use betalike_obs::Counter;
 use std::sync::Arc;
 
@@ -56,6 +56,11 @@ pub const DEFAULT_BLOCK_ROWS: u32 = 256;
 /// posting lists when enumerating candidate groups; wider predicates fall
 /// back to testing every group's extent.
 const POSTING_FANOUT: u32 = 8;
+
+/// Groups per unit of the parallel build. The split is fixed, and every
+/// unit's output is integers concatenated in group order, so a catalog is
+/// identical at any thread count.
+const BUILD_CHUNK: usize = 64;
 
 /// How a catalog groups rows — the part of a catalog that is persisted
 /// (everything else is rebuilt deterministically from the publication).
@@ -165,6 +170,15 @@ struct AltSaOverlay {
     hists: Vec<Vec<(u32, u32)>>,
 }
 
+/// One unit of the parallel build: extents, prefix-count runs and run
+/// offsets (relative to `counts`) for consecutive groups.
+#[derive(Debug, Default)]
+struct BuiltGroups {
+    extents: Vec<(u32, u32)>,
+    counts: Vec<u32>,
+    offsets: Vec<usize>,
+}
+
 /// A per-artifact aggregate catalog. See the [module docs](self) for the
 /// data layout and the bit-identity argument. Build one with
 /// [`Catalog::for_partition`] (generalized forms) or
@@ -178,10 +192,15 @@ pub struct Catalog {
     covered: Vec<usize>,
     /// Domain cardinality per covered attribute.
     cards: Vec<u32>,
-    /// How rows were grouped (kept verbatim for [`Catalog::spec`]).
-    grouping: GroupingSpec,
-    /// Row ids per group.
-    groups: Vec<Vec<RowId>>,
+    /// `Some(n)` for block grouping (blocks of `n` rows cut from `rows`,
+    /// which is then the permutation [`Catalog::spec`] reports); `None`
+    /// for one group per EC.
+    block_rows: Option<u32>,
+    /// Every group's row ids, group after group; each row id is stored
+    /// once.
+    rows: Vec<u32>,
+    /// Group `g`'s rows are `rows[starts[g]..starts[g + 1]]`.
+    starts: Vec<usize>,
     /// `extents[g * covered.len() + ci]`: the value extent of covered
     /// attribute `ci` in group `g` — the published box for generalized QI
     /// attributes, the raw code extent otherwise. An empty group's extent
@@ -225,22 +244,14 @@ impl Catalog {
         let mut covered = partition.qi().to_vec();
         covered.push(partition.sa());
         let qi_len = covered.len() - 1;
-        let groups: Vec<Vec<RowId>> = partition.ecs().to_vec();
-        let sa_col = table.column(partition.sa());
-        let mut extents = Vec::with_capacity(groups.len() * covered.len());
-        for (i, ec) in groups.iter().enumerate() {
-            let raw = partition.ec_extent(table, i);
-            extents.extend(partition.qi().iter().zip(&raw).map(|(&a, &(lo, hi))| {
-                match table.schema().attr(a).kind() {
-                    AttrKind::Numeric { .. } => (lo, hi),
-                    AttrKind::Categorical { hierarchy } => {
-                        hierarchy.leaf_range(hierarchy.lca_of_leaves(lo, hi))
-                    }
-                }
-            }));
-            extents.push(code_extent(sa_col, ec));
+        let mut rows = Vec::with_capacity(partition.num_rows());
+        let mut starts = Vec::with_capacity(partition.num_ecs() + 1);
+        starts.push(0);
+        for ec in partition.ecs() {
+            rows.extend(ec.iter().map(|&r| r as u32));
+            starts.push(rows.len());
         }
-        Self::assemble(table, covered, qi_len, GroupingSpec::Ecs, groups, extents)
+        Self::assemble(table, covered, qi_len, None, rows, starts)
     }
 
     /// Builds the catalog for a form that publishes QIs verbatim (Anatomy
@@ -265,13 +276,13 @@ impl Catalog {
     pub fn with_perturbed_overlay(mut self, published: &PerturbedTable) -> Self {
         let col = published.table.column(published.sa);
         let m = published.plan.m();
-        let mut hists = Vec::with_capacity(self.groups.len());
-        for rows in &self.groups {
+        let mut hists = Vec::with_capacity(self.num_groups());
+        for g in 0..self.num_groups() {
             let mut dense = vec![0u32; m];
-            for &r in rows {
+            for &r in self.group_rows(g) {
                 let idx = published
                     .plan
-                    .dense_index(col[r])
+                    .dense_index(col[r as usize])
                     .expect("perturbed values stay in the support");
                 dense[idx] += 1;
             }
@@ -318,7 +329,10 @@ impl Catalog {
             (GroupingSpec::Ecs, None) => {
                 return Err("EC-grouped catalog without a partition".into());
             }
-            (GroupingSpec::Blocks { block_rows, perm }, _) => {
+            (GroupingSpec::Blocks { .. }, Some(_)) => {
+                return Err("block-grouped catalog for a generalized publication".into());
+            }
+            (GroupingSpec::Blocks { block_rows, perm }, None) => {
                 if *block_rows == 0 {
                     return Err("catalog block size must be positive".into());
                 }
@@ -353,16 +367,28 @@ impl Catalog {
     /// [`CatalogSpec`]); the perturbed overlay is always rebuilt and not
     /// part of it.
     pub fn spec(&self) -> CatalogSpec {
+        let grouping = match self.block_rows {
+            None => GroupingSpec::Ecs,
+            Some(block_rows) => GroupingSpec::Blocks {
+                block_rows,
+                perm: self.rows.clone(),
+            },
+        };
         CatalogSpec {
             version: CATALOG_VERSION,
-            grouping: self.grouping.clone(),
+            grouping,
             covered: self.covered.clone(),
         }
     }
 
     /// Number of row groups.
     pub fn num_groups(&self) -> usize {
-        self.groups.len()
+        self.starts.len() - 1
+    }
+
+    /// Group `g`'s row ids.
+    fn group_rows(&self, g: usize) -> &[u32] {
+        &self.rows[self.starts[g]..self.starts[g + 1]]
     }
 
     /// Replaces the plan-classification counters with shared handles (the
@@ -472,7 +498,7 @@ impl Catalog {
                 // Every covered predicate spans the group: count it whole.
                 ([], true) => {
                     tally.full_cover += 1;
-                    self.groups[g].len() as u64
+                    self.group_rows(g).len() as u64
                 }
                 // One straddling predicate: read its per-group prefix counts.
                 ([(ci, p)], true) => {
@@ -488,9 +514,9 @@ impl Catalog {
                         .chain(res_cols.iter().copied())
                         .collect();
                     let mut c = 0u64;
-                    'rows: for &r in &self.groups[g] {
+                    'rows: for &r in self.group_rows(g) {
                         for (col, p) in &cols {
-                            let v = col[r];
+                            let v = col[r as usize];
                             if v < p.lo || v > p.hi {
                                 continue 'rows;
                             }
@@ -520,7 +546,7 @@ impl Catalog {
     /// scan path).
     pub fn estimate_generalized(&self, query: &AggQuery) -> f64 {
         assert!(
-            matches!(self.grouping, GroupingSpec::Ecs),
+            self.block_rows.is_none(),
             "estimate_generalized requires an EC-grouped catalog"
         );
         let positions: Vec<(usize, &RangePred)> = query
@@ -537,7 +563,7 @@ impl Catalog {
         let sa_ci = self.qi_len;
         let mut tally = PlanTally::default();
         let mut total = 0.0;
-        'groups: for g in 0..self.groups.len() {
+        'groups: for g in 0..self.num_groups() {
             let ext = self.group_extents(g);
             for &(pos, p) in &positions {
                 let (lo, hi) = ext[pos];
@@ -631,7 +657,7 @@ impl Catalog {
             if !straddles && res_cols.is_empty() {
                 // The whole group matches: add its published-SA histogram.
                 tally.full_cover += 1;
-                matched += self.groups[g].len() as u64;
+                matched += self.group_rows(g).len() as u64;
                 for &(idx, c) in &overlay.hists[g] {
                     counts[idx as usize] += c as f64;
                 }
@@ -643,7 +669,8 @@ impl Catalog {
                 .map(|&(_, p)| (table.column(p.attr), p))
                 .chain(res_cols.iter().copied())
                 .collect();
-            'rows: for &r in &self.groups[g] {
+            'rows: for &r in self.group_rows(g) {
+                let r = r as usize;
                 for (col, p) in &cols {
                     let v = col[r];
                     if v < p.lo || v > p.hi {
@@ -684,7 +711,7 @@ impl Catalog {
                 ids.dedup();
                 ids
             }
-            None => (0..self.groups.len()).collect(),
+            None => (0..self.num_groups()).collect(),
         }
     }
 
@@ -724,34 +751,26 @@ impl Catalog {
     fn from_blocks(table: &Table, block_rows: u32, perm: Vec<u32>) -> Self {
         let covered: Vec<usize> = (0..table.schema().arity()).collect();
         let qi_len = covered.len();
-        let groups: Vec<Vec<RowId>> = perm
-            .chunks(block_rows as usize)
-            .map(|c| c.iter().map(|&r| r as usize).collect())
-            .collect();
-        let mut extents = Vec::with_capacity(groups.len() * covered.len());
-        for rows in &groups {
-            extents.extend(covered.iter().map(|&a| code_extent(table.column(a), rows)));
-        }
-        Self::assemble(
-            table,
-            covered,
-            qi_len,
-            GroupingSpec::Blocks { block_rows, perm },
-            groups,
-            extents,
-        )
+        let mut starts: Vec<usize> = (0..perm.len()).step_by(block_rows as usize).collect();
+        starts.push(perm.len());
+        Self::assemble(table, covered, qi_len, Some(block_rows), perm, starts)
     }
 
-    /// Builds the derived structures (per-group prefix counts, posting
-    /// lists, prefix sums) shared by every grouping. `extents` is flat,
-    /// `covered.len()` entries per group.
+    /// Builds every derived structure from the grouping. Each group's
+    /// codes of each covered attribute are gathered once, into a scratch
+    /// buffer, and yield the group's extent (for EC grouping, a
+    /// categorical QI's extent widens to the published box, exactly as
+    /// [`crate::GeneralizedView`] derives it) and its prefix-count run.
+    /// Groups are built in [`BUILD_CHUNK`] units across the pool and
+    /// concatenated in group order; the posting lists and the global
+    /// prefix sums then follow from the extents and runs alone.
     fn assemble(
         table: &Table,
         covered: Vec<usize>,
         qi_len: usize,
-        grouping: GroupingSpec,
-        groups: Vec<Vec<RowId>>,
-        extents: Vec<(u32, u32)>,
+        block_rows: Option<u32>,
+        rows: Vec<u32>,
+        starts: Vec<usize>,
     ) -> Self {
         let stride = covered.len();
         let cards: Vec<u32> = covered
@@ -759,77 +778,102 @@ impl Catalog {
             .map(|&a| table.schema().attr(a).cardinality() as u32)
             .collect();
         let cols: Vec<&[u32]> = covered.iter().map(|&a| table.column(a)).collect();
-        let mut counts = Vec::new();
-        let mut offsets = Vec::with_capacity(extents.len());
-        for (g, rows) in groups.iter().enumerate() {
-            for (ci, col) in cols.iter().enumerate() {
-                let (lo, hi) = extents[g * stride + ci];
-                let base = counts.len();
-                offsets.push(base);
-                if lo > hi {
-                    counts.push(0); // empty group
-                    continue;
-                }
-                counts.resize(base + (hi - lo) as usize + 2, 0);
-                for &r in rows {
-                    counts[base + (col[r] - lo) as usize + 1] += 1;
-                }
-                for k in base + 1..counts.len() {
-                    counts[k] += counts[k - 1];
+        // The hierarchy a covered attribute's extent widens through: EC
+        // grouping publishes a categorical QI as its LCA's leaf range.
+        let widen: Vec<Option<&Hierarchy>> = covered
+            .iter()
+            .enumerate()
+            .map(|(ci, &a)| match block_rows {
+                None if ci < qi_len => table.schema().attr(a).hierarchy(),
+                _ => None,
+            })
+            .collect();
+        let num_groups = starts.len() - 1;
+        let units = mini_rayon::par_chunks_map(&starts[..num_groups], BUILD_CHUNK, |u, unit| {
+            let mut out = BuiltGroups::default();
+            let mut codes: Vec<u32> = Vec::new();
+            for g in u * BUILD_CHUNK..u * BUILD_CHUNK + unit.len() {
+                let group = &rows[starts[g]..starts[g + 1]];
+                for (col, widen) in cols.iter().zip(&widen) {
+                    codes.clear();
+                    codes.extend(group.iter().map(|&r| col[r as usize]));
+                    let (mut lo, mut hi) = codes
+                        .iter()
+                        .fold((u32::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+                    let base = out.counts.len();
+                    out.offsets.push(base);
+                    if lo > hi {
+                        out.extents.push((lo, hi));
+                        out.counts.push(0); // empty group
+                        continue;
+                    }
+                    if let Some(h) = widen {
+                        (lo, hi) = h.leaf_range(h.lca_of_leaves(lo, hi));
+                    }
+                    out.extents.push((lo, hi));
+                    out.counts.resize(base + (hi - lo) as usize + 2, 0);
+                    let run = &mut out.counts[base..];
+                    for &v in &codes {
+                        run[(v - lo) as usize + 1] += 1;
+                    }
+                    for k in 1..run.len() {
+                        run[k] += run[k - 1];
+                    }
                 }
             }
+            out
+        });
+        let mut extents = Vec::with_capacity(num_groups * stride);
+        let mut counts = Vec::with_capacity(units.iter().map(|u| u.counts.len()).sum());
+        let mut offsets = Vec::with_capacity(num_groups * stride);
+        for unit in units {
+            let base = counts.len();
+            extents.extend(unit.extents);
+            offsets.extend(unit.offsets.iter().map(|&o| base + o));
+            counts.extend(unit.counts);
         }
-        let mut postings = Vec::with_capacity(covered.len());
-        let mut prefix = Vec::with_capacity(covered.len());
-        for (ci, col) in cols.iter().enumerate() {
-            let card = cards[ci] as usize;
-            let mut lists: Vec<Vec<u32>> = vec![Vec::new(); card];
-            for (g, ext) in extents.chunks_exact(stride).enumerate() {
-                let (lo, hi) = ext[ci];
+        let mut postings = Vec::with_capacity(stride);
+        let mut prefix = Vec::with_capacity(stride);
+        for (ci, &card) in cards.iter().enumerate() {
+            let mut lists: Vec<Vec<u32>> = vec![Vec::new(); card as usize];
+            let mut sums = vec![0u64; card as usize + 1];
+            for g in 0..num_groups {
+                let i = g * stride + ci;
+                let (lo, hi) = extents[i];
                 if lo > hi {
                     continue; // empty group
                 }
-                for v in lo..=hi.min(cards[ci] - 1) {
+                // The run's differences are the group's histogram.
+                let run = &counts[offsets[i]..];
+                for v in lo..=hi.min(card - 1) {
                     lists[v as usize].push(g as u32);
+                    let k = (v - lo) as usize;
+                    sums[v as usize + 1] += u64::from(run[k + 1] - run[k]);
                 }
             }
-            postings.push(lists);
-            let mut sums = vec![0u64; card + 1];
-            for rows in &groups {
-                for &r in rows {
-                    sums[col[r] as usize + 1] += 1;
-                }
-            }
-            for v in 0..card {
+            for v in 0..card as usize {
                 sums[v + 1] += sums[v];
             }
+            postings.push(lists);
             prefix.push(sums);
         }
-        let num_rows = groups.iter().map(Vec::len).sum();
         Catalog {
             covered,
             cards,
-            grouping,
-            groups,
+            block_rows,
+            num_rows: rows.len(),
+            rows,
+            starts,
             extents,
             counts,
             offsets,
             postings,
             prefix,
-            num_rows,
             qi_len,
             alt_sa: None,
             stats: CatalogStats::default(),
         }
     }
-}
-
-/// The `(min, max)` code of `col` over `rows`; `(u32::MAX, 0)` when
-/// `rows` is empty.
-fn code_extent(col: &[u32], rows: &[RowId]) -> (u32, u32) {
-    rows.iter().fold((u32::MAX, 0), |(lo, hi), &r| {
-        (lo.min(col[r]), hi.max(col[r]))
-    })
 }
 
 /// The row permutation block grouping cuts from: rows sorted (stably) by
@@ -969,6 +1013,71 @@ mod tests {
             [124, 51, 106, 399],
         ];
         assert_eq!(got, want);
+    }
+
+    /// The build runs in fixed units across the pool; nothing a catalog
+    /// holds or answers may depend on the worker count. Covers EC
+    /// grouping (with LCA-widened census boxes), block grouping and the
+    /// perturbed overlay.
+    #[test]
+    fn catalog_determinism_across_thread_counts() {
+        use betalike::model::BetaLikeness;
+        use betalike::perturb;
+        use betalike_microdata::census::{self, CensusConfig};
+
+        let t = census::generate(&CensusConfig::new(20_000, 4));
+        let sa = census::attr::SALARY;
+        let p = burel(&t, &[0, 1, 3, 4], sa, &BurelConfig::new(4.0).with_seed(2)).unwrap();
+        let published = perturb(&t, sa, &BetaLikeness::new(4.0).unwrap(), 3).unwrap();
+        let queries = generate_workload(
+            &t,
+            &WorkloadConfig {
+                qi_pool: vec![0, 1, 3, 4],
+                sa,
+                lambda: 2,
+                theta: 0.2,
+                num_queries: 60,
+                seed: 5,
+            },
+        );
+        let build = |threads: usize| {
+            mini_rayon::set_threads(threads);
+            let built = [
+                Catalog::for_partition(&t, &p),
+                Catalog::for_table(&t, sa),
+                Catalog::for_table(&t, sa).with_perturbed_overlay(&published),
+            ];
+            mini_rayon::set_threads(0);
+            built
+        };
+        let answers = |[ec, block, overlay]: &[Catalog; 3]| -> Vec<u64> {
+            let mut out = Vec::new();
+            for q in &queries {
+                let all: Vec<RangePred> = q.qi_preds.iter().chain([&q.sa_pred]).copied().collect();
+                out.push(ec.estimate_generalized(q).to_bits());
+                out.push(ec.count(&t, &all));
+                out.push(block.count(&t, &all));
+                out.push(block.count(&t, &q.qi_preds));
+                let (matched, counts) = overlay.perturbed_observed(&published, q);
+                out.push(matched);
+                out.extend(counts.iter().map(|c| c.to_bits()));
+            }
+            out
+        };
+        let (serial, parallel) = (build(1), build(8));
+        assert!(serial[0].num_groups() > BUILD_CHUNK && serial[1].num_groups() > BUILD_CHUNK);
+        for (a, b) in serial.iter().zip(&parallel) {
+            assert_eq!(a.spec(), b.spec());
+            assert_eq!((&a.rows, &a.starts), (&b.rows, &b.starts));
+            assert_eq!(a.extents, b.extents);
+            assert_eq!((&a.counts, &a.offsets), (&b.counts, &b.offsets));
+            assert_eq!((&a.postings, &a.prefix), (&b.postings, &b.prefix));
+            assert_eq!(
+                a.alt_sa.as_ref().map(|o| &o.hists),
+                b.alt_sa.as_ref().map(|o| &o.hists)
+            );
+        }
+        assert_eq!(answers(&serial), answers(&parallel));
     }
 
     #[test]

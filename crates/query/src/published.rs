@@ -4,9 +4,9 @@
 //! every call; a long-lived publisher (the `betalike-server` crate, the
 //! figure binaries' inner loops) instead wants one value that owns
 //! everything a publication needs to answer `COUNT(*)` queries repeatedly:
-//! the pre-built per-EC boxes of a [`GeneralizedView`], the perturbation
-//! plan of a [`PerturbedTable`], or an Anatomy-style histogram — plus a
-//! shared handle on the original table for exact answers.
+//! the partition behind a generalized publication, the perturbation plan of
+//! a [`PerturbedTable`], or an Anatomy-style histogram, plus its aggregate
+//! [`Catalog`] and a shared handle on the original table for exact answers.
 //!
 //! A [`PublishedAnswerer`] is cheap to clone (its table handles are
 //! [`Arc`]s) and `Send + Sync`, so one published artifact can be computed
@@ -22,13 +22,18 @@ use betalike::perturb::PerturbedTable;
 use betalike_baselines::anatomy::AnatomyBaseline;
 use betalike_metrics::Partition;
 use betalike_microdata::Table;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The publication form an answerer holds.
 #[derive(Debug, Clone)]
 enum Form {
-    /// A generalized partition, pre-processed into per-EC boxes.
-    Generalized(GeneralizedView),
+    /// A generalized partition. The per-EC boxes and sorted SA lists of
+    /// the scan reference ([`GeneralizedView`]) are built on the first
+    /// [`PublishedAnswerer::estimate_scan`]: nothing else reads them.
+    Generalized {
+        partition: Arc<Partition>,
+        view: OnceLock<GeneralizedView>,
+    },
     /// A perturbed table plus its reconstruction plan.
     Perturbed(PerturbedTable),
     /// Exact QIs plus the global SA histogram.
@@ -49,9 +54,9 @@ enum Form {
 /// use std::sync::Arc;
 ///
 /// let table = Arc::new(random_table(&SyntheticConfig::default()));
-/// let partition = burel(&table, &[0, 1], 2, &BurelConfig::new(4.0)).unwrap();
-/// let fast = PublishedAnswerer::generalized(Arc::clone(&table), &partition);
-/// let scan = PublishedAnswerer::generalized_opt(Arc::clone(&table), &partition, false);
+/// let partition = Arc::new(burel(&table, &[0, 1], 2, &BurelConfig::new(4.0)).unwrap());
+/// let fast = PublishedAnswerer::generalized(Arc::clone(&table), Arc::clone(&partition));
+/// let scan = PublishedAnswerer::generalized_opt(Arc::clone(&table), partition, false);
 /// assert!(fast.catalog().is_some() && scan.catalog().is_none());
 /// let cfg = WorkloadConfig { qi_pool: vec![0, 1], sa: 2, lambda: 2,
 ///                            theta: 0.2, num_queries: 5, seed: 1 };
@@ -69,23 +74,26 @@ pub struct PublishedAnswerer {
 }
 
 impl PublishedAnswerer {
-    /// Wraps a generalized publication: the per-EC boxes and sorted SA lists
-    /// are built once, here, along with the aggregate catalog.
-    pub fn generalized(source: Arc<Table>, partition: &Partition) -> Self {
+    /// Wraps a generalized publication and builds its aggregate catalog.
+    /// A borrowed partition is cloned; pass the `Arc` an artifact already
+    /// holds to share it.
+    pub fn generalized(source: Arc<Table>, partition: impl Into<Arc<Partition>>) -> Self {
         Self::generalized_opt(source, partition, true)
     }
 
     /// [`PublishedAnswerer::generalized`] with the catalog optional —
     /// `catalog: false` keeps only the scanning paths, the reference the
     /// equivalence tests and benchmarks compare the catalog against.
-    pub fn generalized_opt(source: Arc<Table>, partition: &Partition, catalog: bool) -> Self {
-        let view = GeneralizedView::new(&source, partition);
-        let catalog = catalog.then(|| Arc::new(Catalog::for_partition(&source, partition)));
-        PublishedAnswerer {
-            source,
-            form: Form::Generalized(view),
-            catalog,
-        }
+    pub fn generalized_opt(
+        source: Arc<Table>,
+        partition: impl Into<Arc<Partition>>,
+        catalog: bool,
+    ) -> Self {
+        let form = Form::Generalized {
+            partition: partition.into(),
+            view: OnceLock::new(),
+        };
+        Self::with_default_catalog(source, form, catalog)
     }
 
     /// Wraps a perturbed publication (`source` is the *original* table the
@@ -97,14 +105,7 @@ impl PublishedAnswerer {
 
     /// [`PublishedAnswerer::perturbed`] with the catalog optional.
     pub fn perturbed_opt(source: Arc<Table>, published: PerturbedTable, catalog: bool) -> Self {
-        let catalog = catalog.then(|| {
-            Arc::new(Catalog::for_table(&source, published.sa).with_perturbed_overlay(&published))
-        });
-        PublishedAnswerer {
-            source,
-            form: Form::Perturbed(published),
-            catalog,
-        }
+        Self::with_default_catalog(source, Form::Perturbed(published), catalog)
     }
 
     /// Wraps an Anatomy-style publication of `source`'s SA column. Builds
@@ -115,13 +116,21 @@ impl PublishedAnswerer {
 
     /// [`PublishedAnswerer::anatomy`] with the catalog optional.
     pub fn anatomy_opt(source: Arc<Table>, sa: usize, catalog: bool) -> Self {
-        let baseline = AnatomyBaseline::publish(&source, sa);
-        let catalog = catalog.then(|| Arc::new(Catalog::for_table(&source, sa)));
-        PublishedAnswerer {
+        let form = Form::Anatomy(AnatomyBaseline::publish(&source, sa));
+        Self::with_default_catalog(source, form, catalog)
+    }
+
+    fn with_default_catalog(source: Arc<Table>, form: Form, catalog: bool) -> Self {
+        let mut answerer = PublishedAnswerer {
             source,
-            form: Form::Anatomy(baseline),
-            catalog,
+            form,
+            catalog: None,
+        };
+        if catalog {
+            // Only a stored spec can fail to build.
+            let _ = answerer.build_catalog(None);
         }
+        answerer
     }
 
     /// The original table this publication was derived from.
@@ -143,7 +152,7 @@ impl PublishedAnswerer {
     /// `"perturbed"`, `"anatomy"`).
     pub fn kind(&self) -> &'static str {
         match &self.form {
-            Form::Generalized(_) => "generalized",
+            Form::Generalized { .. } => "generalized",
             Form::Perturbed(_) => "perturbed",
             Form::Anatomy(_) => "anatomy",
         }
@@ -170,29 +179,29 @@ impl PublishedAnswerer {
         self.catalog.as_ref().map(|c| c.spec())
     }
 
-    /// Rebuilds the catalog from a persisted spec, replacing any current
-    /// one. `partition` must be the artifact's partition for generalized
-    /// forms. Restore paths call this so a stored grouping is honored
-    /// verbatim; version-skewed specs are the *caller's* cue to fall back
-    /// to the default build instead.
+    /// Builds the catalog from a persisted spec, replacing any current
+    /// one. Restore paths call this on a scan-only answerer so a stored
+    /// grouping is honored verbatim and the catalog is built once;
+    /// version-skewed specs are the *caller's* cue to build the default
+    /// instead (`spec: None`).
     ///
     /// # Errors
     ///
     /// Propagates [`Catalog::from_spec`]'s structural validation.
-    pub fn rebuild_catalog(
-        &mut self,
-        partition: Option<&Partition>,
-        spec: &CatalogSpec,
-    ) -> std::result::Result<(), String> {
+    pub fn build_catalog(&mut self, spec: Option<&CatalogSpec>) -> std::result::Result<(), String> {
+        let (partition, sa) = match &self.form {
+            Form::Generalized { partition, .. } => (Some(&**partition), partition.sa()),
+            Form::Perturbed(published) => (None, published.sa),
+            Form::Anatomy(baseline) => (None, baseline.sa()),
+        };
+        let catalog = match (spec, partition) {
+            (Some(spec), _) => Catalog::from_spec(&self.source, partition, spec)?,
+            (None, Some(p)) => Catalog::for_partition(&self.source, p),
+            (None, None) => Catalog::for_table(&self.source, sa),
+        };
         let catalog = match &self.form {
-            Form::Generalized(_) => {
-                let p = partition.ok_or("generalized catalog needs the partition")?;
-                Catalog::from_spec(&self.source, Some(p), spec)?
-            }
-            Form::Perturbed(published) => {
-                Catalog::from_spec(&self.source, None, spec)?.with_perturbed_overlay(published)
-            }
-            Form::Anatomy(_) => Catalog::from_spec(&self.source, None, spec)?,
+            Form::Perturbed(published) => catalog.with_perturbed_overlay(published),
+            _ => catalog,
         };
         self.catalog = Some(Arc::new(catalog));
         Ok(())
@@ -211,7 +220,7 @@ impl PublishedAnswerer {
             return self.estimate_scan(query);
         };
         match &self.form {
-            Form::Generalized(_) => Ok(catalog.estimate_generalized(query)),
+            Form::Generalized { .. } => Ok(catalog.estimate_generalized(query)),
             Form::Perturbed(published) => {
                 let (matched, counts) = catalog.perturbed_observed(published, query);
                 if matched == 0 {
@@ -249,7 +258,9 @@ impl PublishedAnswerer {
     /// reconstruction; the other forms cannot fail.
     pub fn estimate_scan(&self, query: &AggQuery) -> Result<f64> {
         match &self.form {
-            Form::Generalized(view) => Ok(view.estimate(query)),
+            Form::Generalized { partition, view } => Ok(view
+                .get_or_init(|| GeneralizedView::new(&self.source, partition))
+                .estimate(query)),
             Form::Perturbed(published) => estimate_perturbed(published, query),
             Form::Anatomy(baseline) => Ok(estimate_anatomy(baseline, &self.source, query)),
         }
@@ -316,6 +327,31 @@ mod tests {
             assert_eq!(got.to_bits(), view.estimate(q).to_bits());
             assert_eq!(ans.exact(q), exact_count(&table, q));
         }
+    }
+
+    #[test]
+    fn scan_view_is_built_on_first_scan_only() {
+        let (table, queries) = setup();
+        let p = Arc::new(burel(&table, &[0, 1, 2], 5, &BurelConfig::new(4.0)).unwrap());
+        let ans = PublishedAnswerer::generalized(Arc::clone(&table), Arc::clone(&p));
+        let built = |a: &PublishedAnswerer| match &a.form {
+            Form::Generalized { partition, view } => {
+                assert!(Arc::ptr_eq(partition, &p), "the partition is shared");
+                view.get().is_some()
+            }
+            _ => unreachable!(),
+        };
+        for q in &queries {
+            ans.estimate(q).unwrap();
+            ans.exact(q);
+        }
+        assert!(!built(&ans), "catalog answers never build the view");
+        let q = &queries[0];
+        assert_eq!(
+            ans.estimate_scan(q).unwrap().to_bits(),
+            ans.estimate(q).unwrap().to_bits()
+        );
+        assert!(built(&ans));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Published artifacts: one publish request's cached output.
 //!
 //! An [`Artifact`] owns everything needed to serve queries against one
-//! publication — the [`PublishedAnswerer`] (per-EC boxes, perturbation
-//! plan, or Anatomy histogram), the partition for audits, and the dataset
+//! publication — the [`PublishedAnswerer`] (aggregate catalog plus the
+//! partition, perturbation plan, or Anatomy histogram), the partition for
+//! audits, and the dataset
 //! handle — all behind [`Arc`]s so any number of worker threads can answer
 //! from it concurrently. The privacy audit is computed at most once, on
 //! first request.
@@ -114,17 +115,17 @@ impl Artifact {
                 let keys = hilbert_keys(&table, &qi);
                 let cfg = BurelConfig::new(request.beta).with_seed(request.seed);
                 let p = burel_with_keys(&table, &qi, sa, &cfg, &keys).map_err(|e| e.to_string())?;
-                let ans = PublishedAnswerer::generalized_opt(Arc::clone(&table), &p, catalog);
-                partition = Some(Arc::new(p));
-                ans
+                let p = Arc::new(p);
+                partition = Some(Arc::clone(&p));
+                PublishedAnswerer::generalized_opt(Arc::clone(&table), p, catalog)
             }
             Algo::Sabre => {
                 let keys = hilbert_keys(&table, &qi);
                 let cfg = SabreConfig::new(request.t).with_seed(request.seed);
                 let p = sabre_with_keys(&table, &qi, sa, &cfg, &keys).map_err(|e| e.to_string())?;
-                let ans = PublishedAnswerer::generalized_opt(Arc::clone(&table), &p, catalog);
-                partition = Some(Arc::new(p));
-                ans
+                let p = Arc::new(p);
+                partition = Some(Arc::clone(&p));
+                PublishedAnswerer::generalized_opt(Arc::clone(&table), p, catalog)
             }
             Algo::Mondrian => {
                 let model = BetaLikeness::with_bound(request.beta, BoundKind::Enhanced)
@@ -132,9 +133,9 @@ impl Artifact {
                 let c = LikenessConstraint::new(&table, sa, model);
                 let p = mondrian(&table, &qi, sa, &c, &MondrianConfig::default())
                     .map_err(|e| e.to_string())?;
-                let ans = PublishedAnswerer::generalized_opt(Arc::clone(&table), &p, catalog);
-                partition = Some(Arc::new(p));
-                ans
+                let p = Arc::new(p);
+                partition = Some(Arc::clone(&p));
+                PublishedAnswerer::generalized_opt(Arc::clone(&table), p, catalog)
             }
             Algo::Anatomy => PublishedAnswerer::anatomy_opt(Arc::clone(&table), sa, catalog),
             Algo::Perturb => {

@@ -8,7 +8,7 @@
 //! The server holds a [`registry::Registry`] of generator-backed datasets
 //! and a content-addressed cache of [`artifact::Artifact`]s: one publish
 //! request (dataset × scheme × parameters) is computed once — partition,
-//! per-EC query view, Hilbert keys, perturbation plan — and then served to
+//! aggregate catalog, perturbation plan — and then served to
 //! any number of concurrent clients over a newline-delimited JSON TCP
 //! protocol ([`wire`]). Because every generator and algorithm in the
 //! workspace is seeded and thread-count invariant, a served answer is

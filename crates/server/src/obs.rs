@@ -86,6 +86,9 @@ pub(crate) struct ServerObs {
     pub cache_misses: Arc<Gauge>,
     /// Mirror of the result cache's current size.
     pub cache_size: Arc<Gauge>,
+    /// Lazy reloads of stored artifacts: one record per `load` +
+    /// `restore` a lookup runs (nanoseconds).
+    pub restore_ns: Arc<Histogram>,
 }
 
 impl ServerObs {
@@ -118,6 +121,7 @@ impl ServerObs {
             cache_hits: registry.gauge("result_cache_hits"),
             cache_misses: registry.gauge("result_cache_misses"),
             cache_size: registry.gauge("result_cache_size"),
+            restore_ns: registry.histogram("restore_ns"),
             registry,
             clock,
         }

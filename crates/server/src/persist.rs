@@ -5,9 +5,9 @@
 //! privacy audit so it is stored rather than recomputed); [`restore`]
 //! rebuilds a serving-ready artifact from a snapshot with **zero pipeline
 //! recomputation** — no generator run, no Hilbert transform, no BUREL. The
-//! derived structures it does rebuild (per-EC query boxes, sorted SA
-//! lists, the perturbation matrix, the Anatomy histogram) come from the
-//! same deterministic code that built them at publish time, so a restored
+//! derived structures it does rebuild (the aggregate catalog, the
+//! perturbation matrix, the Anatomy histogram) come from the same
+//! deterministic code that built them at publish time, so a restored
 //! artifact's `count` and `audit` answers are bit-identical to the
 //! original process's; the `persistence` integration test and the CI
 //! restart smoke assert exactly that.
@@ -38,12 +38,12 @@ fn catalog_to_snapshot(spec: &CatalogSpec) -> CatalogSnapshot {
 }
 
 /// Lifts a stored catalog descriptor back into the query-side spec.
-fn catalog_from_snapshot(c: &CatalogSnapshot) -> Result<CatalogSpec, String> {
+fn catalog_from_snapshot(c: CatalogSnapshot) -> Result<CatalogSpec, String> {
     let grouping = match c.grouping {
         0 => GroupingSpec::Ecs,
         1 => GroupingSpec::Blocks {
             block_rows: c.block_rows,
-            perm: c.perm.clone(),
+            perm: c.perm,
         },
         tag => return Err(format!("unknown stored catalog grouping tag {tag}")),
     };
@@ -143,13 +143,14 @@ pub fn restore_with(
 
 /// Rebuilds a serving-ready artifact from a snapshot.
 ///
-/// A stored catalog descriptor whose version matches this build is honored
-/// verbatim (the stored grouping wins over a fresh derivation); a
-/// descriptor from a *different* catalog version is discarded and the
-/// default catalog is rebuilt from scratch — the rebuild-on-version-skew
-/// policy of `DESIGN.md` §13. A descriptor that is structurally invalid
-/// for this publication fails the restore (the file passed its checksums,
-/// so this is writer-side corruption, and the caller quarantines it).
+/// The catalog is built once. A stored catalog descriptor whose version
+/// matches this build is honored verbatim (the stored grouping, such as a
+/// block permutation, is used instead of being derived again); a missing
+/// descriptor, or one from a *different* catalog version, yields the
+/// default catalog — the rebuild-on-version-skew policy of `DESIGN.md`
+/// §13. A descriptor that is structurally invalid for this publication
+/// fails the restore (the file passed its checksums, so this is
+/// writer-side corruption, and the caller quarantines it).
 ///
 /// # Errors
 ///
@@ -220,6 +221,7 @@ fn restore_inner(
         sa,
     });
 
+    // Scan-only answerers first; the catalog is built once, below.
     let mut partition = None;
     let mut alphas = None;
     let mut answerer = match snap.form {
@@ -234,9 +236,9 @@ fn restore_inner(
             let part = Partition::new(qi.clone(), sa, ecs);
             part.validate_cover(table.num_rows())
                 .map_err(|e| format!("stored partition does not cover the table: {e}"))?;
-            let ans = PublishedAnswerer::generalized_opt(Arc::clone(&table), &part, catalog);
-            partition = Some(Arc::new(part));
-            ans
+            let part = Arc::new(part);
+            partition = Some(Arc::clone(&part));
+            PublishedAnswerer::generalized_opt(Arc::clone(&table), part, false)
         }
         FormSnapshot::Perturbed {
             sa_column,
@@ -268,27 +270,24 @@ fn restore_inner(
                 sa,
             };
             alphas = Some(published.plan.alphas().to_vec());
-            PublishedAnswerer::perturbed_opt(Arc::clone(&table), published, catalog)
+            PublishedAnswerer::perturbed_opt(Arc::clone(&table), published, false)
         }
-        FormSnapshot::Anatomy => PublishedAnswerer::anatomy_opt(Arc::clone(&table), sa, catalog),
+        FormSnapshot::Anatomy => PublishedAnswerer::anatomy_opt(Arc::clone(&table), sa, false),
     };
 
     if catalog {
-        if let Some(stored) = &snap.catalog {
-            if stored.version == CATALOG_VERSION {
-                let spec = catalog_from_snapshot(stored)?;
-                // The constructors above already derived the default
-                // catalog; only rebuild when the stored grouping differs.
-                if answerer.catalog_spec().as_ref() != Some(&spec) {
-                    answerer
-                        .rebuild_catalog(partition.as_deref(), &spec)
-                        .map_err(|e| format!("stored catalog descriptor: {e}"))?;
-                }
+        let spec = match snap.catalog {
+            Some(stored) if stored.version == CATALOG_VERSION => {
+                Some(catalog_from_snapshot(stored)?)
             }
-            // Version skew: keep the freshly derived default catalog.
-        }
+            // Absent, or version skew: derive the default catalog.
+            _ => None,
+        };
+        answerer
+            .build_catalog(spec.as_ref())
+            .map_err(|e| format!("stored catalog descriptor: {e}"))?;
     }
-    // After any rebuild, so the counters land on the catalog that serves.
+    // After the build, so the counters land on the catalog that serves.
     if let Some(stats) = stats {
         answerer.attach_catalog_stats(stats);
     }
@@ -388,6 +387,67 @@ mod tests {
                 original.dataset.table.column(0)
             );
         }
+    }
+
+    #[test]
+    fn stored_catalog_is_honored_and_version_skew_derives_the_default() {
+        let reg = Registry::new();
+        let original = Artifact::publish(&reg, &request(Algo::Anatomy)).unwrap();
+        let default_spec = original.answerer.catalog_spec().unwrap();
+        let queries = generate_workload(
+            &original.dataset.table,
+            &WorkloadConfig {
+                qi_pool: vec![0, 1, 2],
+                sa: original.dataset.sa,
+                lambda: 2,
+                theta: 0.2,
+                num_queries: 25,
+                seed: 6,
+            },
+        );
+        // A stored grouping the default derivation would not produce: the
+        // reversed permutation, in blocks of 100.
+        let mut snap = snapshot(&original);
+        let stored = snap.catalog.as_mut().unwrap();
+        stored.perm.reverse();
+        stored.block_rows = 100;
+        let want = GroupingSpec::Blocks {
+            block_rows: 100,
+            perm: stored.perm.clone(),
+        };
+        let honored = restore(snap.clone()).unwrap();
+        assert_eq!(honored.answerer.catalog_spec().unwrap().grouping, want);
+        for q in &queries {
+            let (a, b) = (&honored.answerer, &original.answerer);
+            assert_eq!(
+                a.estimate(q).unwrap().to_bits(),
+                b.estimate(q).unwrap().to_bits()
+            );
+            assert_eq!(a.exact(q), b.exact_scan(q));
+        }
+        // Version skew, or no descriptor at all: the default catalog.
+        snap.catalog.as_mut().unwrap().version = CATALOG_VERSION + 1;
+        let skewed = restore(snap.clone()).unwrap();
+        assert_eq!(skewed.answerer.catalog_spec().unwrap(), default_spec);
+        snap.catalog = None;
+        assert_eq!(
+            restore(snap).unwrap().answerer.catalog_spec().unwrap(),
+            default_spec
+        );
+        // A current-version descriptor that does not fit the publication
+        // fails the restore: a short permutation, and block grouping for
+        // a generalized form.
+        let mut snap = snapshot(&original);
+        snap.catalog.as_mut().unwrap().perm.pop();
+        assert!(restore(snap)
+            .unwrap_err()
+            .contains("stored catalog descriptor"));
+        let burel = Artifact::publish(&reg, &request(Algo::Burel)).unwrap();
+        let mut snap = snapshot(&burel);
+        snap.catalog = snapshot(&original).catalog;
+        assert!(restore(snap)
+            .unwrap_err()
+            .contains("stored catalog descriptor"));
     }
 
     #[test]

@@ -1173,7 +1173,8 @@ fn lookup(state: &Arc<State>, handle: &str) -> Result<Arc<Artifact>, String> {
 /// The artifact for `handle` if it is resident or durably stored:
 /// memory-cache hit first, then a lazy load from the data directory
 /// (restored artifacts are inserted into the memory cache, so the disk is
-/// read at most once per handle per process).
+/// read at most once per handle per process). Each load and restore is
+/// timed into the `restore_ns` histogram.
 ///
 /// `Ok(None)` means the handle is genuinely unknown. `Err` carries a
 /// wire-level message: a previously failed publish, or a stored artifact
@@ -1188,10 +1189,16 @@ fn resident_or_stored(state: &Arc<State>, handle: &str) -> Result<Option<Arc<Art
     let Some(store) = &state.store else {
         return Ok(None);
     };
+    let start = state.obs.start();
     match store.load(handle) {
         Ok(None) => Ok(None),
         Ok(Some(snap)) => {
-            match crate::persist::restore_with(snap, true, Some(state.plan_stats.clone())) {
+            let restored = crate::persist::restore_with(snap, true, Some(state.plan_stats.clone()));
+            if let Some(start) = start {
+                let elapsed = state.obs.clock.now_ns().saturating_sub(start);
+                state.obs.restore_ns.record(elapsed);
+            }
+            match restored {
                 Ok(restored) => {
                     // Racing loaders resolve to one inserted artifact.
                     let artifact = state.artifacts.get_or_init(handle, || Ok(restored));

@@ -158,6 +158,51 @@ fn metrics_reports_per_op_histograms_after_traffic() {
     server.shutdown_and_join();
 }
 
+/// A restarted server reloads a stored artifact on its first lookup and
+/// times that load + restore into `restore_ns`, once: later lookups hit
+/// the resident copy.
+#[test]
+fn stored_artifact_reloads_are_timed_once() {
+    let dir = std::env::temp_dir().join(format!("betalike-obs-reload-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..Default::default()
+    };
+    let first = serve(&config).expect("bind");
+    let mut client = Client::connect(first.addr()).expect("connect");
+    let published = raw(&mut client, publish_line());
+    let handle = published
+        .get("handle")
+        .and_then(Json::as_str)
+        .expect("handle")
+        .to_string();
+    drop(client);
+    first.shutdown_and_join();
+
+    let restarted = serve(&config).expect("bind");
+    let mut client = Client::connect(restarted.addr()).expect("connect");
+    let reloads = |client: &mut Client| {
+        let doc = client.metrics().expect("metrics");
+        let hist = doc
+            .get("histograms")
+            .and_then(|h| h.get("restore_ns"))
+            .expect("restore_ns is registered from startup");
+        hist.get("count").and_then(Json::as_f64).expect("count")
+    };
+    assert_eq!(reloads(&mut client), 0.0);
+    let count =
+        format!(r#"{{"op":"count","handle":"{handle}","preds":[],"sa":{{"lo":0,"hi":3}}}}"#);
+    for _ in 0..3 {
+        let doc = raw(&mut client, &count);
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
+    }
+    assert_eq!(reloads(&mut client), 1.0);
+    drop(client);
+    restarted.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// With `obs: false` the counters and gauges (and so `health`) keep
 /// working — only the clock-reading paths go quiet.
 #[test]

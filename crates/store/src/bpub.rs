@@ -26,8 +26,8 @@
 //!
 //! The split follows what is *expensive or random* versus *cheap and
 //! deterministic*: EC row lists and the perturbed column are stored because
-//! recomputing them means a full BUREL run or an RNG replay, while per-EC
-//! query boxes, sorted SA lists and the Anatomy histogram are rebuilt from
+//! recomputing them means a full BUREL run or an RNG replay, while the
+//! aggregate catalog and the Anatomy histogram are rebuilt from
 //! the stored state by the same deterministic code that built them at
 //! publish time — which is exactly why a restored artifact answers
 //! bit-identically.
@@ -46,7 +46,7 @@ use crate::error::{Result, StoreError};
 use betalike_metrics::audit::PartitionAudit;
 use betalike_microdata::hash::Fnv1a64;
 use betalike_microdata::{Table, Value};
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// The BPUB magic bytes.
 pub const BPUB_MAGIC: &str = "BPUB";
@@ -196,10 +196,6 @@ fn write_params(p: &PubParams, w: &mut impl Write) -> Result<()> {
     s.finish(w)
 }
 
-fn read_params(r: &mut impl BufRead) -> Result<PubParams> {
-    decode_params(Section::expect(r, "params")?)
-}
-
 fn decode_params(mut s: Section) -> Result<PubParams> {
     let handle = s.str()?;
     let canonical = s.str()?;
@@ -212,16 +208,10 @@ fn decode_params(mut s: Section) -> Result<PubParams> {
     let beta = s.f64()?;
     let t = s.f64()?;
     let seed = s.u64()?;
-    let read_vec = |s: &mut Section| -> Result<Vec<u32>> {
-        let n = s.u32()? as usize;
-        let mut v = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            v.push(s.u32()?);
-        }
-        Ok(v)
-    };
-    let qi = read_vec(&mut s)?;
-    let qi_pool = read_vec(&mut s)?;
+    let n = s.u32()? as usize;
+    let qi = s.codes(n, 4)?;
+    let n = s.u32()? as usize;
+    let qi_pool = s.codes(n, 4)?;
     let sa = s.u32()?;
     s.finish()?;
     Ok(PubParams {
@@ -295,33 +285,22 @@ fn write_form(form: &FormSnapshot, rows: usize, w: &mut impl Write) -> Result<()
     s.finish(w)
 }
 
-fn read_form(r: &mut impl BufRead) -> Result<FormSnapshot> {
-    let mut s = Section::expect(r, "form")?;
+fn decode_form(mut s: Section) -> Result<FormSnapshot> {
     let form = match s.u8()? {
         0 => {
             let num_ecs = s.u32()? as usize;
             let mut ecs = Vec::with_capacity(num_ecs.min(1 << 20));
             for _ in 0..num_ecs {
                 let len = s.u32()? as usize;
-                let mut ec = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    ec.push(s.u32()?);
-                }
-                ecs.push(ec);
+                ecs.push(s.codes(len, 4)?);
             }
             FormSnapshot::Generalized { ecs }
         }
         1 => {
             let rows = s.u32()? as usize;
-            let mut sa_column = Vec::with_capacity(rows.min(1 << 24));
-            for _ in 0..rows {
-                sa_column.push(s.u32()?);
-            }
+            let sa_column = s.codes(rows, 4)?;
             let m = s.u32()? as usize;
-            let mut support = Vec::with_capacity(m.min(1 << 16));
-            for _ in 0..m {
-                support.push(s.u32()?);
-            }
+            let support = s.codes(m, 4)?;
             let series = |s: &mut Section| -> Result<Vec<f64>> {
                 let mut v = Vec::with_capacity(m.min(1 << 16));
                 for _ in 0..m {
@@ -375,8 +354,7 @@ fn write_audit(audit: &Option<PartitionAudit>, w: &mut impl Write) -> Result<()>
     s.finish(w)
 }
 
-fn read_audit(r: &mut impl BufRead) -> Result<Option<PartitionAudit>> {
-    let mut s = Section::expect(r, "audit")?;
+fn decode_audit(mut s: Section) -> Result<Option<PartitionAudit>> {
     let audit = match s.u8()? {
         0 => None,
         1 => Some(PartitionAudit {
@@ -453,15 +431,9 @@ fn decode_catalog(s: &mut Section) -> Result<CatalogSnapshot> {
     let grouping = s.u8()?;
     let block_rows = s.u32()?;
     let n = s.u32()? as usize;
-    let mut perm = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        perm.push(s.u32()?);
-    }
+    let perm = s.codes(n, 4)?;
     let k = s.u32()? as usize;
-    let mut covered = Vec::with_capacity(k.min(1 << 16));
-    for _ in 0..k {
-        covered.push(s.u32()?);
-    }
+    let covered = s.codes(k, 4)?;
     Ok(CatalogSnapshot {
         version,
         grouping,
@@ -492,43 +464,6 @@ pub fn write_publication<W: Write>(snap: &PublicationSnapshot, w: &mut W) -> Res
     Ok(())
 }
 
-/// Reads a complete BPUB document.
-///
-/// # Errors
-///
-/// Structured [`StoreError`]s naming the failing section, as
-/// [`crate::btbl::read_table`].
-pub fn read_publication<R: BufRead>(r: &mut R) -> Result<PublicationSnapshot> {
-    read_prologue(r, BPUB_MAGIC, BPUB_VERSION)?;
-    let params = read_params(r)?;
-    let mut table_section = Section::expect(r, "table")?;
-    let nested = table_section.bytes(table_section.remaining())?;
-    table_section.finish()?;
-    let table = crate::btbl::table_from_slice(&nested)?;
-    let form = read_form(r)?;
-    let audit = read_audit(r)?;
-    // The catalog section is optional: files written before it existed go
-    // straight to "end".
-    let mut next = Section::read(r)?;
-    let catalog = match next.name() {
-        "catalog" => {
-            let c = decode_catalog(&mut next)?;
-            next.finish()?;
-            next = Section::read(r)?;
-            Some(c)
-        }
-        _ => None,
-    };
-    next.named("end")?.finish()?;
-    Ok(PublicationSnapshot {
-        params,
-        table,
-        form,
-        audit,
-        catalog,
-    })
-}
-
 /// [`write_publication`] into a fresh buffer.
 ///
 /// # Errors
@@ -540,15 +475,58 @@ pub fn publication_to_vec(snap: &PublicationSnapshot) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// [`read_publication`] from an in-memory buffer.
+/// Reads a complete BPUB document from an in-memory buffer, decoding
+/// each section in place.
 ///
 /// # Errors
 ///
-/// As [`read_publication`], plus `Malformed` on trailing bytes.
-pub fn publication_from_slice(mut bytes: &[u8]) -> Result<PublicationSnapshot> {
-    let snap = read_publication(&mut bytes)?;
+/// Structured [`StoreError`]s naming the failing section, as
+/// [`crate::btbl::table_from_slice`], plus `Malformed` on trailing bytes.
+pub fn publication_from_slice(bytes: &[u8]) -> Result<PublicationSnapshot> {
+    decode_publication(bytes).map(|(snap, _)| snap)
+}
+
+/// [`publication_from_slice`], also returning the FNV-1a of the whole
+/// document, computed in the same pass as the section checksums — which
+/// is what lets [`crate::disk::ArtifactStore::load`] check a file against
+/// its index entry without hashing it twice.
+///
+/// # Errors
+///
+/// As [`publication_from_slice`].
+pub(crate) fn decode_publication(mut bytes: &[u8]) -> Result<(PublicationSnapshot, u64)> {
+    let r = &mut bytes;
+    let version = read_prologue(r, BPUB_MAGIC, BPUB_VERSION)?;
+    let mut whole = Fnv1a64::new();
+    whole.update(BPUB_MAGIC.as_bytes());
+    whole.update(&version.to_le_bytes());
+    let mut next = || Section::read_feeding(r, &mut whole);
+    let params = decode_params(next()?.named("params")?)?;
+    let table = crate::btbl::table_from_slice(next()?.named("table")?.rest())?;
+    let form = decode_form(next()?.named("form")?)?;
+    let audit = decode_audit(next()?.named("audit")?)?;
+    // The catalog section is optional: files written before it existed go
+    // straight to "end".
+    let mut last = next()?;
+    let catalog = match last.name() {
+        "catalog" => {
+            let c = decode_catalog(&mut last)?;
+            last.finish()?;
+            last = next()?;
+            Some(c)
+        }
+        _ => None,
+    };
+    last.named("end")?.finish()?;
     no_trailing_bytes(bytes)?;
-    Ok(snap)
+    let snap = PublicationSnapshot {
+        params,
+        table,
+        form,
+        audit,
+        catalog,
+    };
+    Ok((snap, whole.finish()))
 }
 
 /// Checks a whole BPUB document's framing and decodes only its `params`:

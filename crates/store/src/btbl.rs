@@ -31,7 +31,7 @@ use crate::error::{Result, StoreError};
 use betalike_microdata::hierarchy::NodeSpec;
 use betalike_microdata::schema::AttrKind;
 use betalike_microdata::{Attribute, Hierarchy, Schema, Table, Value};
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::sync::Arc;
 
 /// The BTBL magic bytes.
@@ -111,17 +111,18 @@ pub fn write_table<W: Write>(table: &Table, w: &mut W) -> Result<()> {
     Ok(())
 }
 
-/// Reads a complete BTBL document back into a validated [`Table`].
+/// Reads a complete BTBL document from an in-memory buffer back into a
+/// validated [`Table`], decoding each section in place.
 ///
 /// # Errors
 ///
 /// Structured [`StoreError`]s: `BadMagic` / `VersionSkew` on a foreign or
-/// newer file, `Truncated` / `Corrupt` naming the failing section, and
+/// newer file, `Truncated` / `Corrupt` naming the failing section,
 /// `Malformed` when a section decodes but fails schema or domain
-/// validation.
-pub fn read_table<R: BufRead>(r: &mut R) -> Result<Table> {
+/// validation, and `Malformed` on trailing bytes after the document.
+pub fn table_from_slice(mut bytes: &[u8]) -> Result<Table> {
+    let r = &mut bytes;
     read_prologue(r, BTBL_MAGIC, BTBL_VERSION)?;
-
     let mut s = Section::expect(r, "schema")?;
     let rows = s.len64()?;
     let arity = s.u32()? as usize;
@@ -159,33 +160,21 @@ pub fn read_table<R: BufRead>(r: &mut R) -> Result<Table> {
 
     let mut columns: Vec<Vec<Value>> = Vec::with_capacity(schema.arity());
     for i in 0..schema.arity() {
-        let name = format!("col.{i}");
-        let mut c = Section::expect(r, &name)?;
+        let mut c = Section::expect(r, &format!("col.{i}"))?;
         let width = c.u8()?;
-        // Like every other reader-side allocation, never pre-size from an
-        // untrusted count alone: a crafted `rows` field must fail as
-        // `Truncated` when the (size-capped) payload runs out, not abort
-        // in the allocator.
-        let mut col = Vec::with_capacity(rows.min(c.remaining() / width.max(1) as usize + 1));
-        for _ in 0..rows {
-            let v = match width {
-                1 => c.u8()? as Value,
-                2 => c.u16()? as Value,
-                4 => c.u32()?,
-                w => {
-                    return Err(StoreError::malformed(
-                        &name,
-                        format!("unknown code width {w}"),
-                    ))
-                }
-            };
-            col.push(v);
-        }
+        // A crafted `rows` field fails as `Truncated` against the
+        // (size-capped) payload before anything is allocated.
+        let col = c.codes(rows, width)?;
         c.finish()?;
         columns.push(col);
     }
     Section::expect(r, "end")?.finish()?;
-
+    if !r.is_empty() {
+        return Err(StoreError::malformed(
+            "end",
+            format!("{} trailing bytes after the document", r.len()),
+        ));
+    }
     Table::from_columns(schema, columns).map_err(|e| StoreError::malformed("col", e))
 }
 
@@ -252,23 +241,6 @@ pub fn table_to_vec(table: &Table) -> Result<Vec<u8>> {
     let mut out = Vec::new();
     write_table(table, &mut out)?;
     Ok(out)
-}
-
-/// [`read_table`] from an in-memory buffer.
-///
-/// # Errors
-///
-/// As [`read_table`], plus `Malformed` on trailing bytes after the
-/// document.
-pub fn table_from_slice(mut bytes: &[u8]) -> Result<Table> {
-    let table = read_table(&mut bytes)?;
-    if !bytes.is_empty() {
-        return Err(StoreError::malformed(
-            "end",
-            format!("{} trailing bytes after the document", bytes.len()),
-        ));
-    }
-    Ok(table)
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 //! buffers one section's payload and emits the frame on
 //! [`SectionWriter::finish`]; a [`Section`] reads one frame, verifies its
 //! checksum eagerly, and then hands out typed fields with
-//! truncation-aware errors that name the section.
+//! truncation-aware errors that name the section. Documents are decoded
+//! from memory: a section borrows its payload from the document.
 
 use crate::error::{Result, StoreError};
 use betalike_microdata::hash::{fnv1a64, Fnv1a64};
@@ -160,23 +161,25 @@ impl SectionWriter {
     }
 }
 
-/// One section read from the input, checksum already verified. Typed
-/// accessors consume the payload left to right.
+/// One section read from an in-memory document, checksum already
+/// verified. The payload is borrowed, never copied; typed accessors
+/// consume it left to right.
 #[derive(Debug)]
-pub struct Section {
+pub struct Section<'a> {
     name: String,
-    buf: Vec<u8>,
+    buf: &'a [u8],
     pos: usize,
 }
 
-impl Section {
-    /// Reads the next section frame and verifies its checksum.
+impl<'a> Section<'a> {
+    /// Reads the next section frame from the front of `r` and verifies
+    /// its checksum.
     ///
     /// # Errors
     ///
     /// [`StoreError::Truncated`] when the input ends mid-frame,
     /// [`StoreError::Corrupt`] on a checksum mismatch.
-    pub fn read<R: BufRead>(r: &mut R) -> Result<Section> {
+    pub fn read(r: &mut &'a [u8]) -> Result<Section<'a>> {
         Self::read_feeding(r, &mut Fnv1a64::new())
     }
 
@@ -188,7 +191,7 @@ impl Section {
     /// # Errors
     ///
     /// As [`Section::read`].
-    pub(crate) fn read_feeding<R: BufRead>(r: &mut R, whole: &mut Fnv1a64) -> Result<Section> {
+    pub(crate) fn read_feeding(r: &mut &'a [u8], whole: &mut Fnv1a64) -> Result<Section<'a>> {
         let mut len2 = [0u8; 2];
         read_exact(r, &mut len2, "section header")?;
         whole.update(&len2);
@@ -214,9 +217,13 @@ impl Section {
                 format!("payload length {payload_len} exceeds the format limit"),
             ));
         }
-        let mut buf = vec![0u8; payload_len as usize];
-        read_exact(r, &mut buf, &name)?;
-        let got = whole.update_and_digest(&buf);
+        let all: &'a [u8] = r;
+        let len = payload_len as usize;
+        let Some(buf) = all.get(..len) else {
+            return Err(StoreError::Truncated { section: name });
+        };
+        *r = all.get(len..).unwrap_or_default();
+        let got = whole.update_and_digest(buf);
         let mut sum = [0u8; 8];
         read_exact(r, &mut sum, &name)?;
         whole.update(&sum);
@@ -238,7 +245,7 @@ impl Section {
     ///
     /// As [`Section::read`], plus `Malformed` when a different section
     /// arrives (format layout violation).
-    pub fn expect<R: BufRead>(r: &mut R, want: &str) -> Result<Section> {
+    pub fn expect(r: &mut &'a [u8], want: &str) -> Result<Section<'a>> {
         Self::read(r)?.named(want)
     }
 
@@ -247,7 +254,7 @@ impl Section {
     /// # Errors
     ///
     /// `Malformed` when it has another name (format layout violation).
-    pub(crate) fn named(self, want: &str) -> Result<Section> {
+    pub(crate) fn named(self, want: &str) -> Result<Section<'a>> {
         if self.name != want {
             return Err(StoreError::malformed(
                 want,
@@ -267,7 +274,7 @@ impl Section {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&[u8]> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let truncated = || StoreError::Truncated {
             section: self.name.clone(),
         };
@@ -296,15 +303,6 @@ impl Section {
     pub fn u8(&mut self) -> Result<u8> {
         let [b] = self.take_array::<1>()?;
         Ok(b)
-    }
-
-    /// Reads a `u16`.
-    ///
-    /// # Errors
-    ///
-    /// `Truncated` when the payload is exhausted.
-    pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a `u32`.
@@ -374,6 +372,47 @@ impl Section {
         Ok(self.take(n)?.to_vec())
     }
 
+    /// Every unconsumed payload byte (a nested document).
+    pub(crate) fn rest(&mut self) -> &'a [u8] {
+        let start = self.pos;
+        self.pos = self.buf.len();
+        self.buf.get(start..).unwrap_or_default()
+    }
+
+    /// Reads `n` little-endian codes packed `width` bytes apiece (1, 2 or
+    /// 4) in one bulk pass — the reader for every code column and row-id
+    /// list. The payload length is checked before anything is allocated,
+    /// so a crafted count fails as `Truncated` instead of sizing a buffer.
+    ///
+    /// # Errors
+    ///
+    /// `Malformed` on any other width (only when `n > 0`: an empty list
+    /// reads no code), `Truncated` when fewer than `n` codes remain.
+    pub fn codes(&mut self, n: usize, width: u8) -> Result<Vec<u32>> {
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        if !matches!(width, 1 | 2 | 4) {
+            return Err(StoreError::malformed(
+                &self.name,
+                format!("unknown code width {width}"),
+            ));
+        }
+        let len = n
+            .checked_mul(usize::from(width))
+            .ok_or_else(|| StoreError::Truncated {
+                section: self.name.clone(),
+            })?;
+        let bytes = self.take(len)?;
+        Ok(match width {
+            1 => bytes.iter().map(|&b| u32::from(b)).collect(),
+            _ => bytes
+                .chunks_exact(usize::from(width))
+                .map(|le| le.iter().rev().fold(0, |v, &b| v << 8 | u32::from(b)))
+                .collect(),
+        })
+    }
+
     /// Asserts the payload was fully consumed — trailing bytes mean the
     /// writer and reader disagree about the layout.
     ///
@@ -423,6 +462,36 @@ mod tests {
         assert_eq!(s.bytes(3).unwrap(), vec![1, 2, 3]);
         s.finish().unwrap();
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn codes_read_every_width_in_bulk() {
+        let vals = [0u32, 1, 255, 256, 65_535, 65_536, u32::MAX];
+        for (width, keep) in [(1u8, 3), (2, 5), (4, 7)] {
+            let bytes = frame("c", |w| {
+                for &v in &vals[..keep] {
+                    w.bytes(&v.to_le_bytes()[..usize::from(width)]);
+                }
+            });
+            let mut s = Section::read(&mut &bytes[..]).unwrap();
+            assert_eq!(s.codes(keep, width).unwrap(), vals[..keep]);
+            s.finish().unwrap();
+            // One code more than the payload holds, and a count whose
+            // byte length overflows, are truncations naming the section.
+            for n in [keep + 1, usize::MAX] {
+                let mut s = Section::read(&mut &bytes[..]).unwrap();
+                match s.codes(n, width) {
+                    Err(StoreError::Truncated { section }) => assert_eq!(section, "c"),
+                    other => panic!("width {width}, n {n}: {other:?}"),
+                }
+            }
+        }
+        let bytes = frame("c", |w| w.u32(7));
+        let mut s = Section::read(&mut &bytes[..]).unwrap();
+        assert!(matches!(s.codes(1, 3), Err(StoreError::Malformed { .. })));
+        // An empty list reads nothing, whatever its width byte says.
+        assert_eq!(s.codes(0, 3).unwrap(), Vec::<u32>::new());
+        assert_eq!(s.remaining(), 4);
     }
 
     #[test]

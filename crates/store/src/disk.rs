@@ -33,9 +33,7 @@
 //! syscall site added without a [`site`] constant (or bypassing the Vfs —
 //! lint rule F1) is a test failure.
 
-use crate::bpub::{
-    publication_from_slice, publication_to_vec, scan_publication, PublicationSnapshot,
-};
+use crate::bpub::{decode_publication, publication_to_vec, scan_publication, PublicationSnapshot};
 use crate::error::{Result, StoreError};
 use crate::obs::StoreObs;
 use betalike_faults::{RealVfs, Vfs};
@@ -377,8 +375,8 @@ impl ArtifactStore {
         Ok(entry)
     }
 
-    /// Loads `handle`'s publication, verifying the whole-file checksum
-    /// first.
+    /// Loads `handle`'s publication, verifying the whole-file checksum in
+    /// the same pass that verifies the section checksums and decodes.
     ///
     /// Returns `Ok(None)` for an unknown handle; a known handle whose file
     /// is missing, damaged or unparsable is an `Err` (callers decide
@@ -386,9 +384,13 @@ impl ArtifactStore {
     ///
     /// # Errors
     ///
-    /// `Corrupt` (section `file`) on a whole-file checksum mismatch,
-    /// the BPUB reader's structured errors on parse failure, `Malformed`
-    /// if the decoded document claims a different handle.
+    /// `Corrupt` (section `file`) whenever the file's bytes differ from
+    /// the ones [`ArtifactStore::open`] or [`ArtifactStore::save`] indexed
+    /// — even when a section checksum or the decoder trips first, since
+    /// a file changed behind the store's back is damage to the file, not
+    /// to one section. Otherwise the BPUB reader's structured errors on
+    /// parse failure, and `Malformed` if the decoded document claims a
+    /// different handle.
     pub fn load(&self, handle: &str) -> Result<Option<PublicationSnapshot>> {
         let start = self.obs().and_then(StoreObs::start);
         let result = self.load_inner(handle);
@@ -405,7 +407,13 @@ impl ArtifactStore {
         let bytes = self
             .vfs
             .read(site::LOAD_READ_ARTIFACT, &self.path_of(handle))?;
-        let got = fnv1a64(&bytes);
+        let decoded = decode_publication(&bytes);
+        // A document that failed to decode was not hashed to its end; only
+        // that (cold) path hashes the file on its own.
+        let got = match &decoded {
+            Ok((_, checksum)) => *checksum,
+            Err(_) => fnv1a64(&bytes),
+        };
         if got != entry.checksum {
             return Err(StoreError::Corrupt {
                 section: "file".into(),
@@ -413,7 +421,7 @@ impl ArtifactStore {
                 got,
             });
         }
-        let snap = publication_from_slice(&bytes)?;
+        let (snap, _) = decoded?;
         if snap.params.handle != handle {
             return Err(StoreError::malformed(
                 "params",
@@ -564,7 +572,7 @@ fn quarantine_file(vfs: &dyn Vfs, root: &Path, handle: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bpub::{FormSnapshot, PubParams};
+    use crate::bpub::{publication_from_slice, FormSnapshot, PubParams};
     use betalike_microdata::synthetic::{random_table, SyntheticConfig};
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -661,6 +669,44 @@ mod tests {
         ));
         assert!(store.quarantine("pub-cccc").unwrap());
         assert_eq!(store.load("pub-cccc").unwrap().map(|_| ()), None);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn any_change_since_open_fails_load_as_file_corruption() {
+        let root = temp_root("changed-since-open");
+        let (store, _) = ArtifactStore::open(&root).unwrap();
+        store.save(&snapshot("pub-gggg")).unwrap();
+        store.save(&snapshot("pub-hhhh")).unwrap();
+        drop(store);
+        let (store, _) = ArtifactStore::open(&root).unwrap();
+        let is_file_corruption = |r: Result<Option<PublicationSnapshot>>| matches!(r, Err(StoreError::Corrupt { section, .. }) if section == "file");
+
+        // One byte inside the `form` payload: its section checksum trips
+        // first, yet the load reports the file.
+        let path = store.path_of("pub-gggg");
+        let original = std::fs::read(&path).unwrap();
+        let mut bytes = original.clone();
+        let name = bytes.windows(6).position(|w| w == b"\x04\x00form").unwrap();
+        bytes[name + 6 + 8] ^= 0x01; // first payload byte, past the u64 length
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            publication_from_slice(&bytes),
+            Err(StoreError::Corrupt { section, .. }) if section == "form"
+        ));
+        assert!(is_file_corruption(store.load("pub-gggg")));
+
+        // Another handle's valid document decodes cleanly, but it is not
+        // the file the store indexed.
+        std::fs::copy(store.path_of("pub-hhhh"), &path).unwrap();
+        assert!(is_file_corruption(store.load("pub-gggg")));
+
+        // Restoring the original bytes restores the load.
+        std::fs::write(&path, &original).unwrap();
+        assert_eq!(
+            store.load("pub-gggg").unwrap().unwrap().params.handle,
+            "pub-gggg"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 
