@@ -2,11 +2,14 @@
 //! so the determinism lint (D2) stays sound — [`RealClock`] below is the
 //! single place outside `crates/bench` where `std::time::Instant` may
 //! appear (the lint's clock roster names exactly this file), and tests
-//! drive spans and slow-query thresholds with a [`ManualClock`] instead
-//! of sleeping.
+//! drive latencies and slow-query thresholds with a [`ManualClock`]
+//! instead of sleeping. [`Timer`] is the one clock read that timings
+//! gate: everything the serving process times starts and stops through
+//! it.
 
+use crate::registry::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Monotonic nanoseconds since an arbitrary process-local epoch.
@@ -35,7 +38,7 @@ impl Clock for RealClock {
 
 /// A hand-cranked clock for tests: time moves only when
 /// [`ManualClock::advance`] (or [`ManualClock::set`]) says so, making
-/// span durations and slow-query thresholds exactly reproducible.
+/// latencies and slow-query thresholds exactly reproducible.
 #[derive(Debug, Default)]
 pub struct ManualClock {
     ns: AtomicU64,
@@ -64,10 +67,50 @@ impl Clock for ManualClock {
     }
 }
 
+/// A [`Clock`] behind the timings switch: [`Timer::start`] reads the
+/// clock only while timings are on, and [`Timer::since`] /
+/// [`Timer::record_since`] turn a start into an elapsed time. With
+/// timings off no call reads the clock, so one flag silences every
+/// latency the server and the store measure.
+#[derive(Debug, Clone)]
+pub struct Timer {
+    clock: Arc<dyn Clock>,
+    on: bool,
+}
+
+impl Timer {
+    /// A timer over `clock`, reading it only when `on`.
+    pub fn new(clock: Arc<dyn Clock>, on: bool) -> Self {
+        Timer { clock, on }
+    }
+
+    /// Whether timings are on.
+    pub fn on(&self) -> bool {
+        self.on
+    }
+
+    /// The clock reading when timings are on, else `None`.
+    pub fn start(&self) -> Option<u64> {
+        self.on.then(|| self.clock.now_ns())
+    }
+
+    /// Nanoseconds since `start`, or `None` when [`Timer::start`] did not
+    /// read the clock.
+    pub fn since(&self, start: Option<u64>) -> Option<u64> {
+        start.map(|start| self.clock.now_ns().saturating_sub(start))
+    }
+
+    /// [`Timer::since`], also recorded into `hist`.
+    pub fn record_since(&self, hist: &Histogram, start: Option<u64>) -> Option<u64> {
+        let ns = self.since(start)?;
+        hist.record(ns);
+        Some(ns)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn real_clock_is_monotone() {
@@ -94,5 +137,22 @@ mod tests {
         for c in &clocks {
             let _ = c.now_ns();
         }
+    }
+
+    #[test]
+    fn timer_reads_the_clock_only_when_on() {
+        let clock = Arc::new(ManualClock::new());
+        let hist = Histogram::new();
+        let on = Timer::new(Arc::clone(&clock) as Arc<dyn Clock>, true);
+        let off = Timer::new(Arc::clone(&clock) as Arc<dyn Clock>, false);
+        clock.set(10);
+        let (a, b) = (on.start(), off.start());
+        assert_eq!((a, b), (Some(10), None));
+        clock.advance(32);
+        assert_eq!(on.record_since(&hist, a), Some(32));
+        assert_eq!(off.record_since(&hist, b), None);
+        assert_eq!(on.since(a), Some(32));
+        assert_eq!(hist.snapshot().sum(), 32);
+        assert_eq!(hist.count(), 1);
     }
 }

@@ -19,11 +19,13 @@
 //!   workspace outside `crates/bench` allowed to touch
 //!   `std::time::Instant` (betalike-lint rule D2 carves exactly that
 //!   file out), and [`ManualClock`] gives tests deterministic time.
-//! * [`trace`] / [`log`] — per-request [`Trace`]s with named, nested
-//!   [`Span`]s timing each pipeline stage, and a leveled [`Logger`]
-//!   writing structured text or JSON lines (the `BETALIKE_LOG`
-//!   environment variable and the server's `--log-level` / `--log-json`
-//!   flags configure it).
+//!   [`Timer`] is the one timings-gated clock read: the server's request
+//!   latencies and stage marks, its stored-artifact reloads and the
+//!   store's save/load/fsync timings all start and stop through it, so
+//!   switching timings off silences every clock read at one place.
+//! * [`log`] — a leveled [`Logger`] writing structured text or JSON
+//!   lines (the `BETALIKE_LOG` environment variable and the server's
+//!   `--log-level` / `--log-json` flags configure it).
 //!
 //! The crate renders Prometheus-style text exposition
 //! ([`Snapshot::to_prometheus`]) but deliberately knows nothing about the
@@ -40,9 +42,7 @@
 pub mod clock;
 pub mod log;
 pub mod registry;
-pub mod trace;
 
-pub use clock::{Clock, ManualClock, RealClock};
+pub use clock::{Clock, ManualClock, RealClock, Timer};
 pub use log::{Level, LogValue, Logger};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, NUM_BUCKETS};
-pub use trace::{Span, SpanRecord, Trace};

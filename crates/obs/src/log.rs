@@ -25,7 +25,8 @@ pub enum Level {
     Warn,
     /// Request-level progress (one line per op).
     Info,
-    /// Stage-level detail (span timings).
+    /// Stage-level detail (nothing in the serving stack logs at this
+    /// level yet).
     Debug,
 }
 
@@ -123,18 +124,8 @@ impl std::fmt::Debug for Logger {
 }
 
 impl Logger {
-    /// A logger writing to stderr.
-    pub fn new(level: Level, json: bool, clock: Arc<dyn Clock>) -> Self {
-        Logger {
-            level,
-            json,
-            clock,
-            sink: Arc::new(Mutex::new(Box::new(std::io::stderr()))),
-        }
-    }
-
-    /// A logger writing to an arbitrary sink (tests capture output with a
-    /// shared `Vec<u8>` wrapper).
+    /// A logger writing to `sink`: stderr in the server, a shared buffer
+    /// in tests.
     pub fn with_sink(
         level: Level,
         json: bool,

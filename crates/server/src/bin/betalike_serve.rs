@@ -38,16 +38,18 @@
 //!   entries (default 1024; `0` disables it). Hits replay the stored
 //!   response byte-identically; `health` reports hit/miss/size gauges.
 //! * `--no-obs` turns request *timings* off: per-op latency histograms,
-//!   pipeline spans, and the slow-query log stop reading the clock.
+//!   stage marks, and the slow-query log stop reading the clock.
 //!   Counters and gauges (`health`, `metrics`) still update, and
 //!   responses are byte-identical either way (see DESIGN.md §14).
 //! * `--log-level` sets the structured stderr log level
 //!   (`off | error | warn | info | debug`; default `warn`, or the
 //!   `BETALIKE_LOG` environment variable when set). `--log-json` emits
 //!   one JSON object per line instead of `key=value` text.
-//! * `--slow-query-ms` logs one `warn` line, with the request's per-span
-//!   timing breakdown, for every request slower than MS milliseconds
-//!   (`0`, the default, disables the slow-query log).
+//! * `--slow-query-ms` logs one `warn` line, with the request's per-stage
+//!   timing breakdown (`parse`, `dispatch`, `count.lookup`,
+//!   `count.answer`, `publish.compute`, `publish.persist`), for every
+//!   request slower than MS milliseconds (`0`, the default, disables the
+//!   slow-query log).
 //! * `--max-line-bytes` bounds a request line (default 1 MiB). An
 //!   oversized line is answered with one parseable fatal `too_large`
 //!   error and the connection closes.

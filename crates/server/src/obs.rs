@@ -1,12 +1,13 @@
 //! Server-side observability: the shared metrics [`Registry`], per-op
 //! request/error counters and latency histograms, the structured
-//! [`Logger`], and per-request [`Trace`]s.
+//! [`Logger`], and the per-request [`StageMarks`] the slow-query log
+//! reports.
 //!
 //! One [`ServerObs`] lives in the server's `State`. Counters and gauges
 //! update unconditionally — the `health` and `metrics` ops are derived
-//! from them — while clock reads, histogram records, spans, and the
-//! slow-query log are gated behind [`ServerObs::timings`]
-//! ([`crate::ServerConfig::obs`]), which is what the perf suite's
+//! from them — while clock reads, histogram records, stage marks, and the
+//! slow-query log all go through one [`Timer`], on only while
+//! [`crate::ServerConfig::obs`] is, which is what the perf suite's
 //! instrumentation-overhead criterion measures.
 //!
 //! The `health` op used to assemble its gauges from scattered atomics
@@ -15,10 +16,10 @@
 //! [`Registry::coherent`] and `health`/`metrics` read one
 //! [`Registry::snapshot`], taken under the same lock.
 
-use betalike_obs::{
-    Clock, Counter, Gauge, Histogram, Level, LogValue, Logger, RealClock, Registry, Trace,
-};
+use betalike_obs::{Clock, Counter, Gauge, Histogram, LogValue, Logger, Registry, Timer};
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::sync::Arc;
 
 /// Every op the dispatcher understands, in wire-roster order. Per-op
@@ -55,15 +56,14 @@ pub(crate) struct ServerObs {
     /// The process-wide metrics registry (`health`, `metrics`, and the
     /// store/catalog handles all share it).
     pub registry: Arc<Registry>,
-    /// Monotonic time source for latencies, spans, and log timestamps.
-    pub clock: Arc<dyn Clock>,
-    /// Whether to read the clock: latency histograms, spans, and the
-    /// slow-query log. Counters and gauges update regardless.
-    pub timings: bool,
+    /// The timings-gated clock behind latency histograms, stage marks,
+    /// and the slow-query log (shared with the store). Counters and
+    /// gauges update regardless.
+    pub timer: Timer,
     /// The structured logger (stderr; level from config / `BETALIKE_LOG`).
     pub logger: Logger,
     /// Requests slower than this (milliseconds) get a `warn` line with
-    /// their span breakdown; `0` disables the slow-query log.
+    /// their stage breakdown; `0` disables the slow-query log.
     pub slow_query_ms: u64,
     ops: BTreeMap<&'static str, OpMetrics>,
     /// The bucket unknown op names fall back to.
@@ -80,37 +80,30 @@ pub(crate) struct ServerObs {
     /// Successfully published artifacts in the resident cache (failed
     /// publishes are cached too, but not counted).
     pub artifacts_resident: Arc<Gauge>,
-    /// Mirror of the result cache's hit count.
-    pub cache_hits: Arc<Gauge>,
-    /// Mirror of the result cache's miss count.
-    pub cache_misses: Arc<Gauge>,
-    /// Mirror of the result cache's current size.
-    pub cache_size: Arc<Gauge>,
     /// Lazy reloads of stored artifacts: one record per `load` +
     /// `restore` a lookup runs (nanoseconds).
     pub restore_ns: Arc<Histogram>,
 }
 
 impl ServerObs {
-    /// Registers every server-level metric in `registry`.
+    /// Registers every server-level metric in `registry`; `clock` times
+    /// requests when `timings` is on and stamps the log lines written to
+    /// `sink`.
     pub fn new(
         registry: Arc<Registry>,
-        timings: bool,
-        level: Level,
-        json: bool,
-        slow_query_ms: u64,
+        cfg: &crate::ServerConfig,
+        clock: Arc<dyn Clock>,
+        sink: Box<dyn Write + Send>,
     ) -> Self {
-        let clock: Arc<dyn Clock> = Arc::new(RealClock);
         let mut ops = BTreeMap::new();
         for op in WIRE_OPS {
             ops.insert(op, OpMetrics::from_registry(&registry, op));
         }
         let unknown = OpMetrics::from_registry(&registry, UNKNOWN_OP);
-        let logger = Logger::new(level, json, Arc::clone(&clock));
         ServerObs {
-            timings,
-            logger,
-            slow_query_ms,
+            logger: Logger::with_sink(cfg.log_level, cfg.log_json, Arc::clone(&clock), sink),
+            timer: Timer::new(clock, cfg.obs),
+            slow_query_ms: cfg.slow_query_ms,
             ops,
             unknown,
             queue_depth: registry.gauge("queue_depth"),
@@ -118,12 +111,8 @@ impl ServerObs {
             shed: registry.counter("shed_total"),
             internal_errors: registry.counter("internal_errors_total"),
             artifacts_resident: registry.gauge("artifacts_resident"),
-            cache_hits: registry.gauge("result_cache_hits"),
-            cache_misses: registry.gauge("result_cache_misses"),
-            cache_size: registry.gauge("result_cache_size"),
             restore_ns: registry.histogram("restore_ns"),
             registry,
-            clock,
         }
     }
 
@@ -132,25 +121,15 @@ impl ServerObs {
         self.ops.get(op).unwrap_or(&self.unknown)
     }
 
-    /// The clock reading when timings are on, else `None`.
-    pub fn start(&self) -> Option<u64> {
-        if self.timings {
-            Some(self.clock.now_ns())
-        } else {
-            None
-        }
-    }
-
-    /// A per-request trace when span timings could be observed — i.e.
-    /// timings are on *and* the slow-query log (their only consumer on
-    /// the serving path) is armed. Spans cost nothing when no trace
-    /// exists, which keeps the per-request overhead of the default
-    /// configuration to two clock reads and one histogram record.
-    pub fn trace(&self) -> Option<Trace> {
-        if self.timings && self.slow_query_ms > 0 {
-            Some(Trace::new(Arc::clone(&self.clock), None))
-        } else {
-            None
+    /// Fresh stage marks for one request, armed only when they could be
+    /// reported — timings on *and* the slow-query log (their only
+    /// consumer) enabled. Disarmed marks read no clock, which keeps the
+    /// per-request overhead of the default configuration to two clock
+    /// reads and one histogram record.
+    pub fn stage_marks(&self) -> StageMarks<'_> {
+        StageMarks {
+            timer: (self.timer.on() && self.slow_query_ms > 0).then_some(&self.timer),
+            ..StageMarks::default()
         }
     }
 
@@ -162,7 +141,7 @@ impl ServerObs {
         op: &str,
         ok: bool,
         start: Option<u64>,
-        trace: Option<&Trace>,
+        marks: &StageMarks<'_>,
         trace_id: Option<&str>,
     ) {
         let m = self.op(op);
@@ -170,39 +149,78 @@ impl ServerObs {
         if !ok {
             m.errors.inc();
         }
-        let Some(start) = start else {
+        let Some(elapsed_ns) = self.timer.record_since(&m.latency_ns, start) else {
             return;
         };
-        let elapsed_ns = self.clock.now_ns().saturating_sub(start);
-        m.latency_ns.record(elapsed_ns);
         if self.slow_query_ms == 0 || elapsed_ns < self.slow_query_ms.saturating_mul(1_000_000) {
             return;
         }
-        let spans = trace.map(Trace::spans).unwrap_or_default();
+        let ms = |ns: u64| LogValue::from(ns as f64 / 1.0e6);
         let mut fields: Vec<(&str, LogValue)> = vec![
             ("op", op.into()),
-            ("elapsed_ms", (elapsed_ns as f64 / 1.0e6).into()),
+            ("elapsed_ms", ms(elapsed_ns)),
             ("ok", ok.into()),
         ];
         if let Some(id) = trace_id {
             fields.push(("trace_id", id.into()));
         }
-        for span in &spans {
-            if let Some(d) = span.duration_ns() {
-                fields.push((span.name.as_str(), (d as f64 / 1.0e6).into()));
+        for (name, ns) in Stage::NAMES.iter().zip(&marks.ns) {
+            if let Some(ns) = ns.get() {
+                fields.push((name, ms(ns)));
             }
         }
         self.logger.warn("slow query", &fields);
     }
+}
 
-    /// Mirrors the result cache's stats into the registry gauges, all
-    /// three under one registry lock.
-    pub fn sync_cache(&self, stats: &crate::result_cache::CacheStats) {
-        let (hits, misses, len) = (stats.hits, stats.misses, stats.len);
-        self.registry.coherent(|| {
-            self.cache_hits.set(hits.min(i64::MAX as u64) as i64);
-            self.cache_misses.set(misses.min(i64::MAX as u64) as i64);
-            self.cache_size.set(len.min(i64::MAX as usize) as i64);
-        });
+/// The fixed request stages a slow-query line breaks a request into, in
+/// the order they open: the request-line parse, the op itself, a count's
+/// handle lookup (a lazy reload included) and its estimate on a
+/// result-cache miss, a publish's compute and its write-through to the
+/// store.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stage {
+    Parse,
+    Dispatch,
+    CountLookup,
+    CountAnswer,
+    PublishCompute,
+    PublishPersist,
+}
+
+impl Stage {
+    /// Each stage's field name in the slow-query line, in stage order.
+    pub(crate) const NAMES: [&'static str; 6] = [
+        "parse",
+        "dispatch",
+        "count.lookup",
+        "count.answer",
+        "publish.compute",
+        "publish.persist",
+    ];
+}
+
+/// One request's stage durations: a fixed slot per [`Stage`], held on the
+/// request's stack. Default marks are disarmed and read no clock (the
+/// background publisher, which no slow-query line reports, uses those).
+#[derive(Debug, Default)]
+pub(crate) struct StageMarks<'a> {
+    timer: Option<&'a Timer>,
+    ns: [Cell<Option<u64>>; Stage::NAMES.len()],
+}
+
+impl StageMarks<'_> {
+    /// Runs `f`, marking its duration under `stage` when armed. Stages
+    /// nest: a closure may time inner stages on the same marks.
+    pub(crate) fn time<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> T {
+        let Some(timer) = self.timer else {
+            return f();
+        };
+        let start = timer.start();
+        let out = f();
+        if let Some(slot) = self.ns.get(stage as usize) {
+            slot.set(timer.since(start));
+        }
+        out
     }
 }

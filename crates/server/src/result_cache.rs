@@ -10,29 +10,19 @@
 //!
 //! The map is a `BTreeMap` (betalike-lint rule D1: no `HashMap` in
 //! serving crates) with a second tick-ordered index providing O(log n)
-//! least-recently-used eviction. Hit/miss/size gauges surface through the
-//! `health` op.
+//! least-recently-used eviction. The cache counts its hits, misses and
+//! size straight into the metrics registry's `result_cache_*` gauges,
+//! which `health` and `metrics` report.
 
 use betalike_microdata::json::Json;
+use betalike_obs::{Gauge, Registry};
 use betalike_query::RangePred;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Result-cache capacity (entries) of [`crate::server::ServerConfig`]'s
 /// `Default` impl. `result_cache: 0` disables caching entirely.
 pub const DEFAULT_RESULT_CACHE: usize = 1024;
-
-/// Point-in-time cache gauges for the `health` op.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CacheStats {
-    /// Lookups answered from the cache since startup.
-    pub hits: u64,
-    /// Lookups that fell through to the answerer since startup.
-    pub misses: u64,
-    /// Entries currently resident.
-    pub len: usize,
-}
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -49,8 +39,12 @@ struct Inner {
 pub(crate) struct ResultCache {
     inner: Mutex<Inner>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// Lookups answered from the cache since startup.
+    hits: Arc<Gauge>,
+    /// Lookups that fell through to the answerer since startup.
+    misses: Arc<Gauge>,
+    /// Entries currently resident.
+    size: Arc<Gauge>,
 }
 
 /// The canonical cache key for one `count` request: handle, the QI
@@ -76,12 +70,15 @@ pub(crate) fn cache_key(
 }
 
 impl ResultCache {
-    pub(crate) fn new(capacity: usize) -> Self {
+    /// A cache of `capacity` entries counting into `registry`'s
+    /// `result_cache_{hits,misses,size}` gauges.
+    pub(crate) fn new(capacity: usize, registry: &Registry) -> Self {
         ResultCache {
             inner: Mutex::new(Inner::default()),
             capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: registry.gauge("result_cache_hits"),
+            misses: registry.gauge("result_cache_misses"),
+            size: registry.gauge("result_cache_size"),
         }
     }
 
@@ -98,7 +95,7 @@ impl ResultCache {
         let inner = &mut *guard;
         let Some((tick, response)) = inner.map.get_mut(key) else {
             drop(guard);
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.misses.add(1);
             return None;
         };
         inner.order.remove(tick);
@@ -106,7 +103,8 @@ impl ResultCache {
         *tick = inner.tick;
         inner.order.insert(inner.tick, key.to_string());
         let response = response.clone();
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        drop(guard);
+        self.hits.add(1);
         Some(response)
     }
 
@@ -132,6 +130,7 @@ impl ResultCache {
         let tick = inner.tick;
         inner.order.insert(tick, key.clone());
         inner.map.insert(key, (tick, response));
+        self.size.set(inner.map.len() as i64);
     }
 
     /// Drops every entry belonging to `handle`. Called when the handle's
@@ -153,18 +152,7 @@ impl ResultCache {
                 inner.order.remove(&tick);
             }
         }
-    }
-
-    pub(crate) fn stats(&self) -> CacheStats {
-        let len = {
-            let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.map.len()
-        };
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            len,
-        }
+        self.size.set(inner.map.len() as i64);
     }
 }
 
@@ -176,16 +164,27 @@ mod tests {
         Json::Obj(vec![("estimate".into(), Json::Num(n))])
     }
 
+    /// `(hits, misses, size)` as the registry reports them.
+    fn gauges(registry: &Registry) -> (i64, i64, i64) {
+        let snap = registry.snapshot();
+        let g = |name: &str| snap.gauge(name).expect("registered");
+        (
+            g("result_cache_hits"),
+            g("result_cache_misses"),
+            g("result_cache_size"),
+        )
+    }
+
     #[test]
     fn hit_replays_the_stored_document_verbatim() {
-        let cache = ResultCache::new(8);
+        let registry = Registry::new();
+        let cache = ResultCache::new(8, &registry);
         let key = cache_key("pub-a", &[], 0, 3, false);
         assert!(cache.get(&key).is_none());
         cache.insert(key.clone(), doc(41.0));
         let hit = cache.get(&key).expect("hit");
         assert_eq!(hit.compact(), doc(41.0).compact());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
+        assert_eq!(gauges(&registry), (1, 1, 1));
     }
 
     #[test]
@@ -205,7 +204,8 @@ mod tests {
 
     #[test]
     fn eviction_removes_the_least_recently_used() {
-        let cache = ResultCache::new(2);
+        let registry = Registry::new();
+        let cache = ResultCache::new(2, &registry);
         cache.insert("a|x".into(), doc(1.0));
         cache.insert("b|y".into(), doc(2.0));
         assert!(cache.get("a|x").is_some()); // refresh `a|x`; `b|y` is now LRU
@@ -213,16 +213,18 @@ mod tests {
         assert!(cache.get("b|y").is_none(), "LRU entry evicted");
         assert!(cache.get("a|x").is_some());
         assert!(cache.get("c|z").is_some());
-        assert_eq!(cache.stats().len, 2);
+        assert_eq!(gauges(&registry).2, 2);
     }
 
     #[test]
     fn invalidation_is_per_handle() {
-        let cache = ResultCache::new(8);
+        let registry = Registry::new();
+        let cache = ResultCache::new(8, &registry);
         cache.insert(cache_key("pub-a", &[], 0, 1, false), doc(1.0));
         cache.insert(cache_key("pub-a", &[], 0, 2, false), doc(2.0));
         cache.insert(cache_key("pub-b", &[], 0, 1, false), doc(3.0));
         cache.invalidate("pub-a");
+        assert_eq!(gauges(&registry).2, 1);
         assert!(cache.get(&cache_key("pub-a", &[], 0, 1, false)).is_none());
         assert!(cache.get(&cache_key("pub-a", &[], 0, 2, false)).is_none());
         assert!(cache.get(&cache_key("pub-b", &[], 0, 1, false)).is_some());
@@ -230,10 +232,10 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_everything() {
-        let cache = ResultCache::new(0);
+        let registry = Registry::new();
+        let cache = ResultCache::new(0, &registry);
         cache.insert("a|x".into(), doc(1.0));
         assert!(cache.get("a|x").is_none());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.len), (0, 0, 0));
+        assert_eq!(gauges(&registry), (0, 0, 0));
     }
 }

@@ -40,7 +40,7 @@
 
 use crate::artifact::Artifact;
 use crate::conn::Conn;
-use crate::obs::ServerObs;
+use crate::obs::{ServerObs, Stage, StageMarks};
 use crate::registry::{DatasetSpec, Registry};
 use crate::result_cache::{cache_key, ResultCache, DEFAULT_RESULT_CACHE};
 use crate::wire::{
@@ -49,7 +49,7 @@ use crate::wire::{
 };
 use betalike_faults::{RealVfs, Vfs};
 use betalike_microdata::json::Json;
-use betalike_obs::{Level, Registry as MetricsRegistry, Trace};
+use betalike_obs::{Clock, Level, RealClock, Registry as MetricsRegistry};
 use betalike_query::{AggQuery, CatalogStats, RangePred};
 use betalike_store::{ArtifactStore, StoreObs};
 use std::collections::BTreeSet;
@@ -123,8 +123,8 @@ pub struct ServerConfig {
     /// and miss responses are byte-identical. Entries are invalidated per
     /// handle on fresh publishes and quarantines.
     pub result_cache: usize,
-    /// Whether requests are *timed*: per-op latency histograms, pipeline
-    /// spans, and the slow-query log all read the clock only when this is
+    /// Whether requests are *timed*: per-op latency histograms, stage
+    /// marks, and the slow-query log all read the clock only when this is
     /// on. Counters and gauges (and so `health`/`metrics`) update either
     /// way, and responses are byte-identical either way — the perf
     /// suite's instrumentation-overhead benchmark flips exactly this.
@@ -135,7 +135,7 @@ pub struct ServerConfig {
     /// Emit log lines as JSON objects instead of `key=value` text.
     pub log_json: bool,
     /// Requests slower than this many milliseconds get one `warn` line
-    /// with their per-span breakdown; `0` disables the slow-query log.
+    /// with their per-stage breakdown; `0` disables the slow-query log.
     /// Effective only while [`ServerConfig::obs`] is on (timings are the
     /// evidence the log reports).
     pub slow_query_ms: u64,
@@ -182,7 +182,7 @@ struct State {
     workers: usize,
     /// Admission-queue capacity (for `health`).
     queue_capacity: usize,
-    /// Metrics registry, per-op counters/histograms, logger, tracing.
+    /// Metrics registry, per-op counters/histograms, logger, timer.
     /// The admission gauges live here: the acceptor bumps `queue_depth`
     /// after a successful enqueue and the worker moves the connection to
     /// `active_connections` in one coherent registry transition.
@@ -193,7 +193,9 @@ struct State {
     /// (deadline-bounded publishes claim here so at most one background
     /// thread runs per handle).
     inflight: Mutex<BTreeSet<String>>,
-    read_timeout_ms: u64,
+    /// The effective read poll tick ([`ServerConfig::read_timeout_ms`],
+    /// `0` resolved to [`DEFAULT_READ_TIMEOUT_MS`]).
+    read_tick_ms: u64,
     idle_timeout_ms: u64,
     request_timeout_ms: u64,
     /// The `count` result cache (capacity 0 = disabled).
@@ -248,7 +250,7 @@ impl ServerHandle {
 pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let state = build_state(cfg, addr)?;
+    let state = build_state(cfg, addr, Arc::new(RealClock), Box::new(std::io::stderr()))?;
     let threads = spawn_workers(&state, listener);
     Ok(ServerHandle {
         addr,
@@ -258,17 +260,18 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
 }
 
 /// Everything [`serve`] does except binding and spawning: resolves the
-/// config, opens the durable store, registers metrics, and preloads —
-/// shared with [`LocalServer`] (which never binds).
-fn build_state(cfg: &ServerConfig, addr: SocketAddr) -> std::io::Result<Arc<State>> {
+/// config (every `0 → default` once, here), opens the durable store,
+/// registers metrics, and preloads — shared with [`LocalServer`] (which
+/// never binds). `clock` times requests and stamps the log lines written
+/// to `log_sink`.
+fn build_state(
+    cfg: &ServerConfig,
+    addr: SocketAddr,
+    clock: Arc<dyn Clock>,
+    log_sink: Box<dyn Write + Send>,
+) -> std::io::Result<Arc<State>> {
     let metrics = Arc::new(MetricsRegistry::new());
-    let obs = ServerObs::new(
-        Arc::clone(&metrics),
-        cfg.obs,
-        cfg.log_level,
-        cfg.log_json,
-        cfg.slow_query_ms,
-    );
+    let obs = ServerObs::new(Arc::clone(&metrics), cfg, clock, log_sink);
     let plan_stats = CatalogStats {
         disjoint: metrics.counter("catalog_plan_disjoint"),
         full_cover: metrics.counter("catalog_plan_full_cover"),
@@ -285,11 +288,7 @@ fn build_state(cfg: &ServerConfig, addr: SocketAddr) -> std::io::Result<Arc<Stat
             let (store, quarantined) = ArtifactStore::open_with(dir, vfs).map_err(|e| {
                 std::io::Error::other(format!("open data dir {}: {e}", dir.display()))
             })?;
-            store.attach_obs(StoreObs::from_registry(
-                &metrics,
-                Arc::clone(&obs.clock),
-                cfg.obs,
-            ));
+            store.attach_obs(StoreObs::from_registry(&metrics, obs.timer.clone()));
             for handle in quarantined {
                 obs.logger.warn(
                     "quarantined corrupt stored artifact",
@@ -309,6 +308,11 @@ fn build_state(cfg: &ServerConfig, addr: SocketAddr) -> std::io::Result<Arc<Stat
     } else {
         cfg.queue
     };
+    let read_tick_ms = if cfg.read_timeout_ms == 0 {
+        DEFAULT_READ_TIMEOUT_MS
+    } else {
+        cfg.read_timeout_ms
+    };
     let state = Arc::new(State {
         registry: Registry::new(),
         artifacts: crate::registry::LazyMap::default(),
@@ -320,10 +324,10 @@ fn build_state(cfg: &ServerConfig, addr: SocketAddr) -> std::io::Result<Arc<Stat
         obs,
         plan_stats,
         inflight: Mutex::new(BTreeSet::new()),
-        read_timeout_ms: cfg.read_timeout_ms,
+        read_tick_ms,
         idle_timeout_ms: cfg.idle_timeout_ms,
         request_timeout_ms: cfg.request_timeout_ms,
-        results: ResultCache::new(cfg.result_cache),
+        results: ResultCache::new(cfg.result_cache, &metrics),
         max_line_bytes: cfg.max_line_bytes,
     });
     if let Some(spec) = &cfg.preload {
@@ -374,7 +378,7 @@ impl LocalServer {
     pub fn new(cfg: &ServerConfig) -> std::io::Result<LocalServer> {
         let addr: SocketAddr = ([127, 0, 0, 1], 0).into();
         Ok(LocalServer {
-            state: build_state(cfg, addr)?,
+            state: build_state(cfg, addr, Arc::new(RealClock), Box::new(std::io::stderr()))?,
         })
     }
 
@@ -548,11 +552,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>) {
     // Responses are one small frame each; without NODELAY, Nagle holds
     // them back against the peer's delayed ACK (~40ms per round trip).
     let _ = stream.set_nodelay(true);
-    let tick_ms = if state.read_timeout_ms == 0 {
-        DEFAULT_READ_TIMEOUT_MS
-    } else {
-        state.read_timeout_ms
-    };
+    let tick_ms = state.read_tick_ms;
     if stream
         .set_read_timeout(Some(std::time::Duration::from_millis(tick_ms)))
         .is_err()
@@ -647,17 +647,13 @@ fn echo_trace_id(response: &mut Json, trace_id: Option<&str>) {
 /// for every request line the server ever answered.
 fn respond(state: &Arc<State>, text: &str) -> (Json, bool) {
     let obs = &state.obs;
-    let start = obs.start();
-    let trace = obs.trace();
-    let parsed = {
-        let _span = trace.as_ref().map(|t| t.span("parse"));
-        Json::parse(text)
-    };
-    let doc = match parsed {
+    let start = obs.timer.start();
+    let marks = obs.stage_marks();
+    let doc = match marks.time(Stage::Parse, || Json::parse(text)) {
         Ok(doc) => doc,
         Err(e) => {
             let response = error_response(&format!("parse: {e}"));
-            obs.finish(crate::obs::UNKNOWN_OP, false, start, trace.as_ref(), None);
+            obs.finish(crate::obs::UNKNOWN_OP, false, start, &marks, None);
             return (response, false);
         }
     };
@@ -673,15 +669,12 @@ fn respond(state: &Arc<State>, text: &str) -> (Json, bool) {
     if op == "shutdown" {
         let mut response = ok_response(vec![("stopping".into(), Json::Bool(true))]);
         echo_trace_id(&mut response, trace_id.as_deref());
-        obs.finish(&op, true, start, trace.as_ref(), trace_id.as_deref());
+        obs.finish(&op, true, start, &marks, trace_id.as_deref());
         return (response, true);
     }
-    let result = {
-        let _span = trace.as_ref().map(|t| t.span("dispatch"));
-        catch_unwind(AssertUnwindSafe(|| {
-            dispatch(state, &op, &doc, trace.as_ref())
-        }))
-    };
+    let result = marks.time(Stage::Dispatch, || {
+        catch_unwind(AssertUnwindSafe(|| dispatch(state, &op, &doc, &marks)))
+    });
     let mut response = match result {
         Ok(Ok(response)) => response,
         Ok(Err(message)) => error_response(&message),
@@ -692,7 +685,7 @@ fn respond(state: &Arc<State>, text: &str) -> (Json, bool) {
     };
     let ok = response.get("ok").and_then(Json::as_bool).unwrap_or(false);
     echo_trace_id(&mut response, trace_id.as_deref());
-    obs.finish(&op, ok, start, trace.as_ref(), trace_id.as_deref());
+    obs.finish(&op, ok, start, &marks, trace_id.as_deref());
     (response, false)
 }
 
@@ -700,7 +693,7 @@ fn dispatch(
     state: &Arc<State>,
     op: &str,
     doc: &Json,
-    trace: Option<&Trace>,
+    marks: &StageMarks<'_>,
 ) -> Result<Json, String> {
     match op {
         "ping" => Ok(ok_response(vec![("pong".into(), Json::Bool(true))])),
@@ -717,8 +710,8 @@ fn dispatch(
             }
             Ok(ok_response(members))
         }
-        "publish" => publish(state, doc, trace),
-        "count" => count(state, doc, trace),
+        "publish" => publish(state, doc, marks),
+        "count" => count(state, doc, marks),
         "audit" => {
             let handle = doc
                 .get("handle")
@@ -780,11 +773,7 @@ fn health(state: &Arc<State>) -> Json {
         ),
         (
             "read_timeout_ms".to_string(),
-            Json::Num(if state.read_timeout_ms == 0 {
-                DEFAULT_READ_TIMEOUT_MS
-            } else {
-                state.read_timeout_ms
-            } as f64),
+            Json::Num(state.read_tick_ms as f64),
         ),
         (
             "idle_timeout_ms".to_string(),
@@ -860,7 +849,7 @@ fn metrics(state: &Arc<State>) -> Json {
         })
         .collect();
     ok_response(vec![
-        ("obs".to_string(), Json::Bool(state.obs.timings)),
+        ("obs".to_string(), Json::Bool(state.obs.timer.on())),
         ("counters".to_string(), Json::Obj(counters)),
         ("gauges".to_string(), Json::Obj(gauges)),
         ("histograms".to_string(), Json::Obj(histograms)),
@@ -886,7 +875,7 @@ fn sync_artifacts(state: &Arc<State>) {
     state.obs.artifacts_resident.set(len);
 }
 
-fn publish(state: &Arc<State>, doc: &Json, trace: Option<&Trace>) -> Result<Json, String> {
+fn publish(state: &Arc<State>, doc: &Json, marks: &StageMarks<'_>) -> Result<Json, String> {
     let request = PublishRequest::from_json(doc)?;
     let deadline_ms = match doc.get("deadline_ms") {
         None => None,
@@ -923,7 +912,7 @@ fn publish(state: &Arc<State>, doc: &Json, trace: Option<&Trace>) -> Result<Json
     if let Some(ms) = deadline_ms {
         return publish_with_deadline(state, request, handle, ms);
     }
-    let (artifact, fresh) = compute_and_persist(state, &request, &handle, trace);
+    let (artifact, fresh) = compute_and_persist(state, &request, &handle, marks);
     Ok(publish_ack(state, &request, handle, &artifact?, fresh))
 }
 
@@ -935,11 +924,10 @@ fn compute_and_persist(
     state: &Arc<State>,
     request: &PublishRequest,
     handle: &str,
-    trace: Option<&Trace>,
+    marks: &StageMarks<'_>,
 ) -> (Result<Arc<Artifact>, String>, bool) {
     let mut fresh = false;
-    let artifact = {
-        let _span = trace.map(|t| t.span("publish.compute"));
+    let artifact = marks.time(Stage::PublishCompute, || {
         state.artifacts.get_or_init(handle, || {
             fresh = true;
             Artifact::publish_with(
@@ -949,16 +937,14 @@ fn compute_and_persist(
                 Some(state.plan_stats.clone()),
             )
         })
-    };
+    });
     sync_artifacts(state);
     if fresh {
         // A fresh compute may follow a quarantine of the same handle:
         // cached count responses for the old artifact must not survive it.
         state.results.invalidate(handle);
-        state.obs.sync_cache(&state.results.stats());
         if let Ok(artifact) = &artifact {
-            let _span = trace.map(|t| t.span("publish.persist"));
-            persist(state, artifact);
+            marks.time(Stage::PublishPersist, || persist(state, artifact));
         }
     }
     (artifact, fresh)
@@ -988,7 +974,7 @@ fn publish_with_deadline(
             // The claim must be released even if the pipeline panics
             // (mirroring the catch_unwind around foreground dispatch).
             let run = catch_unwind(AssertUnwindSafe(|| {
-                compute_and_persist(&state, &request, &handle, None)
+                compute_and_persist(&state, &request, &handle, &StageMarks::default())
             }));
             if run.is_err() {
                 state.obs.internal_errors.inc();
@@ -1113,12 +1099,9 @@ fn verify(state: &Arc<State>, doc: &Json) -> Result<Json, String> {
     Ok(ok_response(members))
 }
 
-fn count(state: &Arc<State>, doc: &Json, trace: Option<&Trace>) -> Result<Json, String> {
+fn count(state: &Arc<State>, doc: &Json, marks: &StageMarks<'_>) -> Result<Json, String> {
     let request = CountRequest::from_json(doc)?;
-    let artifact = {
-        let _span = trace.map(|t| t.span("count.lookup"));
-        lookup(state, &request.handle)?
-    };
+    let artifact = marks.time(Stage::CountLookup, || lookup(state, &request.handle))?;
     validate_preds(&artifact, &request)?;
     // Deterministic artifact + deterministic estimators ⇒ the response is
     // a pure function of the key; a cache hit replays the exact document
@@ -1131,9 +1114,7 @@ fn count(state: &Arc<State>, doc: &Json, trace: Option<&Trace>) -> Result<Json, 
         request.sa_hi,
         request.exact,
     );
-    let cached = state.results.get(&key);
-    state.obs.sync_cache(&state.results.stats());
-    if let Some(cached) = cached {
+    if let Some(cached) = state.results.get(&key) {
         return Ok(cached);
     }
     let query = AggQuery {
@@ -1144,22 +1125,22 @@ fn count(state: &Arc<State>, doc: &Json, trace: Option<&Trace>) -> Result<Json, 
             hi: request.sa_hi,
         },
     };
-    let _span = trace.map(|t| t.span("count.answer"));
-    let estimate = artifact
-        .answerer
-        .estimate(&query)
-        .map_err(|e| e.to_string())?;
-    let mut members = vec![("estimate".to_string(), Json::Num(estimate))];
-    if request.exact {
-        members.push((
-            "exact".to_string(),
-            Json::Num(artifact.answerer.exact(&query) as f64),
-        ));
-    }
-    drop(_span);
+    let members = marks.time(Stage::CountAnswer, || {
+        let estimate = artifact
+            .answerer
+            .estimate(&query)
+            .map_err(|e| e.to_string())?;
+        let mut members = vec![("estimate".to_string(), Json::Num(estimate))];
+        if request.exact {
+            members.push((
+                "exact".to_string(),
+                Json::Num(artifact.answerer.exact(&query) as f64),
+            ));
+        }
+        Ok::<_, String>(members)
+    })?;
     let response = ok_response(members);
     state.results.insert(key, response.clone());
-    state.obs.sync_cache(&state.results.stats());
     Ok(response)
 }
 
@@ -1189,15 +1170,12 @@ fn resident_or_stored(state: &Arc<State>, handle: &str) -> Result<Option<Arc<Art
     let Some(store) = &state.store else {
         return Ok(None);
     };
-    let start = state.obs.start();
+    let start = state.obs.timer.start();
     match store.load(handle) {
         Ok(None) => Ok(None),
         Ok(Some(snap)) => {
             let restored = crate::persist::restore_with(snap, true, Some(state.plan_stats.clone()));
-            if let Some(start) = start {
-                let elapsed = state.obs.clock.now_ns().saturating_sub(start);
-                state.obs.restore_ns.record(elapsed);
-            }
+            state.obs.timer.record_since(&state.obs.restore_ns, start);
             match restored {
                 Ok(restored) => {
                     // Racing loaders resolve to one inserted artifact.
@@ -1208,7 +1186,6 @@ fn resident_or_stored(state: &Arc<State>, handle: &str) -> Result<Option<Arc<Art
                 Err(e) => {
                     let _ = store.quarantine(handle);
                     state.results.invalidate(handle);
-                    state.obs.sync_cache(&state.results.stats());
                     state.obs.logger.error(
                         "stored artifact failed to restore; quarantined",
                         &[("handle", handle.into()), ("error", e.as_str().into())],
@@ -1233,7 +1210,6 @@ fn resident_or_stored(state: &Arc<State>, handle: &str) -> Result<Option<Arc<Art
         Err(e) => {
             let _ = store.quarantine(handle);
             state.results.invalidate(handle);
-            state.obs.sync_cache(&state.results.stats());
             state.obs.logger.error(
                 "stored artifact is corrupt; quarantined",
                 &[("handle", handle.into()), ("error", e.to_string().into())],
@@ -1265,4 +1241,98 @@ fn validate_preds(artifact: &Artifact, request: &CountRequest) -> Result<(), Str
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    //! The slow-query log through [`respond`], which every served and
+    //! [`LocalServer`] request line goes through. Each clock read moves
+    //! time one millisecond on, so a request's elapsed time and each
+    //! stage's duration are exact counts of the clock reads inside them.
+
+    use super::*;
+    use std::sync::atomic::AtomicU64;
+
+    #[derive(Debug, Default)]
+    struct SteppingClock(AtomicU64);
+
+    impl Clock for SteppingClock {
+        fn now_ns(&self) -> u64 {
+            self.0.fetch_add(1_000_000, Ordering::SeqCst)
+        }
+    }
+
+    #[derive(Clone, Default)]
+    struct Sink(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Runs a publish, three counts (miss, hit, unknown handle), a ping
+    /// and an unparseable line; returns the log lines without their
+    /// `ts_ns` and the milliseconds the clock moved.
+    fn run(obs: bool, slow_query_ms: u64) -> (Vec<String>, u64) {
+        let (clock, sink) = (Arc::new(SteppingClock::default()), Sink::default());
+        let cfg = ServerConfig {
+            obs,
+            slow_query_ms,
+            log_json: true,
+            ..Default::default()
+        };
+        let addr = ([127, 0, 0, 1], 0).into();
+        let state = build_state(&cfg, addr, Arc::clone(&clock) as _, Box::new(sink.clone()));
+        let state = state.expect("state");
+        let publish = r#"{"op":"publish","dataset":"synthetic","rows":300,"dseed":7,"algo":"anatomy","trace_id":"p-1"}"#;
+        let handle = respond(&state, publish).0.get("handle").unwrap().compact();
+        let count = |handle: &str, id: &str| {
+            format!(
+                r#"{{"op":"count","handle":{handle},"preds":[],"sa":{{"lo":0,"hi":3}},"trace_id":"{id}"}}"#
+            )
+        };
+        for line in [
+            count(&handle, "c-miss"),
+            count(&handle, "c-hit"),
+            count("\"no-such-handle\"", "c-bad"),
+            r#"{"op":"ping"}"#.into(),
+            "{".into(),
+        ] {
+            respond(&state, &line);
+        }
+        let log = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let lines = log
+            .lines()
+            .map(|l| l.split_once(',').unwrap().1.to_string());
+        (lines.collect(), clock.0.load(Ordering::SeqCst) / 1_000_000)
+    }
+
+    /// One `warn` line per request that took the threshold (6 ms) or
+    /// more, with its op's stages; the ping (5 ms) and the unparseable
+    /// line (3 ms) stay under it.
+    #[test]
+    fn slow_queries_log_their_stage_breakdown() {
+        let head = r#""level":"warn","msg":"slow query","op""#;
+        let want = [
+            r#""publish","elapsed_ms":9,"ok":true,"trace_id":"p-1","parse":1,"dispatch":5,"publish.compute":1,"publish.persist":1}"#,
+            r#""count","elapsed_ms":9,"ok":true,"trace_id":"c-miss","parse":1,"dispatch":5,"count.lookup":1,"count.answer":1}"#,
+            r#""count","elapsed_ms":7,"ok":true,"trace_id":"c-hit","parse":1,"dispatch":3,"count.lookup":1}"#,
+            r#""count","elapsed_ms":7,"ok":false,"trace_id":"c-bad","parse":1,"dispatch":3,"count.lookup":1}"#,
+        ];
+        assert_eq!(run(true, 6).0, want.map(|w| format!("{head}:{w}")));
+    }
+
+    /// No line with the log off or timings off. Timings alone read the
+    /// clock twice per request (stage marks stay disarmed); off, never.
+    #[test]
+    fn slow_query_log_is_silent_when_disarmed() {
+        assert_eq!(run(true, 0), (vec![], 6 * 2));
+        assert_eq!(run(false, 1), (vec![], 0));
+    }
 }

@@ -334,7 +334,7 @@ impl ArtifactStore {
     /// Propagates serialization and I/O failures; `Malformed` on a handle
     /// that is not a safe file name.
     pub fn save(&self, snap: &PublicationSnapshot) -> Result<StoreEntry> {
-        let start = self.obs().and_then(StoreObs::start);
+        let start = self.obs().and_then(|o| o.timer.start());
         let result = self.save_inner(snap);
         match &result {
             Ok(_) => self.write_failures.store(0, Ordering::SeqCst),
@@ -349,7 +349,7 @@ impl ArtifactStore {
             }
         }
         if let Some(o) = self.obs() {
-            o.record_since(&o.save_ns, start);
+            o.timer.record_since(&o.save_ns, start);
         }
         self.sync_obs_gauges();
         result
@@ -392,10 +392,10 @@ impl ArtifactStore {
     /// parse failure, and `Malformed` if the decoded document claims a
     /// different handle.
     pub fn load(&self, handle: &str) -> Result<Option<PublicationSnapshot>> {
-        let start = self.obs().and_then(StoreObs::start);
+        let start = self.obs().and_then(|o| o.timer.start());
         let result = self.load_inner(handle);
         if let Some(o) = self.obs() {
-            o.record_since(&o.load_ns, start);
+            o.timer.record_since(&o.load_ns, start);
         }
         result
     }
@@ -500,10 +500,10 @@ impl ArtifactStore {
 
     /// One `fsync`, timed into `store_fsync_ns` when handles are attached.
     fn timed_fsync(&self, site: &'static str, target: &Path) -> io::Result<()> {
-        let start = self.obs().and_then(StoreObs::start);
+        let start = self.obs().and_then(|o| o.timer.start());
         let result = self.vfs.fsync(site, target);
         if let Some(o) = self.obs() {
-            o.record_since(&o.fsync_ns, start);
+            o.timer.record_since(&o.fsync_ns, start);
         }
         result
     }

@@ -8,21 +8,19 @@
 //! constructible without a registry — the `betalike-store` CLI and the
 //! fault-injection torture suite never pay for instrumentation they do
 //! not read. Gauges and counters always update once attached (the
-//! server's `health` response is derived from them); the `timings` flag
-//! gates only the clock reads and histogram records, which is what the
-//! perf suite's overhead criterion measures.
+//! server's `health` response is derived from them); the server's
+//! [`Timer`] gates only the clock reads and histogram records, which is
+//! what the perf suite's overhead criterion measures.
 
-use betalike_obs::{Clock, Counter, Gauge, Histogram, Registry};
+use betalike_obs::{Counter, Gauge, Histogram, Registry, Timer};
 use std::sync::Arc;
 
 /// Shared instrumentation handles for one [`crate::ArtifactStore`].
 #[derive(Debug, Clone)]
 pub struct StoreObs {
-    /// Time source for the latency histograms.
-    pub clock: Arc<dyn Clock>,
-    /// Whether to read the clock and record latency histograms; counters
-    /// and gauges update regardless.
-    pub timings: bool,
+    /// The server's timings-gated clock: latency histograms record only
+    /// while it is on; counters and gauges update regardless.
+    pub timer: Timer,
     /// Whole-call [`crate::ArtifactStore::save`] latency (nanoseconds).
     pub save_ns: Arc<Histogram>,
     /// Whole-call [`crate::ArtifactStore::load`] latency (nanoseconds).
@@ -42,10 +40,9 @@ pub struct StoreObs {
 
 impl StoreObs {
     /// Handles registered under the `store_*` names in `registry`.
-    pub fn from_registry(registry: &Registry, clock: Arc<dyn Clock>, timings: bool) -> Self {
+    pub fn from_registry(registry: &Registry, timer: Timer) -> Self {
         StoreObs {
-            clock,
-            timings,
+            timer,
             save_ns: registry.histogram("store_save_ns"),
             load_ns: registry.histogram("store_load_ns"),
             fsync_ns: registry.histogram("store_fsync_ns"),
@@ -53,23 +50,6 @@ impl StoreObs {
             stored: registry.gauge("store_artifacts"),
             write_failures: registry.gauge("store_write_failures"),
             degraded: registry.gauge("store_degraded"),
-        }
-    }
-
-    /// The clock reading when `timings` is on, else `None` — pair with
-    /// [`StoreObs::record_since`].
-    pub(crate) fn start(&self) -> Option<u64> {
-        if self.timings {
-            Some(self.clock.now_ns())
-        } else {
-            None
-        }
-    }
-
-    /// Records `now - start` into `hist` when [`StoreObs::start`] armed.
-    pub(crate) fn record_since(&self, hist: &Histogram, start: Option<u64>) {
-        if let Some(start) = start {
-            hist.record(self.clock.now_ns().saturating_sub(start));
         }
     }
 }
