@@ -23,10 +23,12 @@ pub enum Level {
     Error,
     /// Degraded-but-serving conditions (shed connections, slow queries).
     Warn,
-    /// Request-level progress (one line per op).
+    /// Artifact lifecycle: the server adds one `artifact published` line
+    /// per fresh publish and one `artifact reloaded` line per artifact
+    /// read back from the store.
     Info,
-    /// Stage-level detail (nothing in the serving stack logs at this
-    /// level yet).
+    /// Everything [`Level::Info`] emits; nothing in the serving stack
+    /// logs at this level itself.
     Debug,
 }
 

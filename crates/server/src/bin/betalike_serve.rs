@@ -21,10 +21,11 @@
 //! * `--preload` materializes a dataset before accepting traffic, e.g.
 //!   `census:10000:42`, `patients`, `synthetic:1000:7`.
 //! * `--data-dir` enables durable publications: fresh publishes are
-//!   written through to `DIR/artifacts/` and handles published by earlier
-//!   processes are lazily loaded and served bit-identically — no
-//!   recomputation on restart. Inspect the directory offline with
-//!   `betalike-store`.
+//!   saved to `DIR/artifacts/` and then leave memory; a stored handle
+//!   (published by this process or an earlier one) is loaded on its
+//!   first read and served bit-identically — no recomputation on
+//!   restart. Without it every artifact stays in memory. Inspect the
+//!   directory offline with `betalike-store`.
 //! * `--queue` bounds the admission queue (default 64): connections
 //!   beyond busy workers + queue are refused with one retryable
 //!   `overloaded` error line instead of piling up unread.
@@ -43,8 +44,14 @@
 //!   responses are byte-identical either way (see DESIGN.md §14).
 //! * `--log-level` sets the structured stderr log level
 //!   (`off | error | warn | info | debug`; default `warn`, or the
-//!   `BETALIKE_LOG` environment variable when set). `--log-json` emits
-//!   one JSON object per line instead of `key=value` text.
+//!   `BETALIKE_LOG` environment variable when set). `error` logs failed
+//!   saves and unusable stored artifacts; `warn` adds shed connections,
+//!   quarantines at open and slow queries; `info` adds one
+//!   `artifact published` line per fresh publish (handle, algo, rows,
+//!   persisted, resident) and one `artifact reloaded` line per artifact
+//!   read back from the store (handle, restore_ms); `debug` adds nothing
+//!   to `info`. `--log-json` emits one JSON object per line instead of
+//!   `key=value` text.
 //! * `--slow-query-ms` logs one `warn` line, with the request's per-stage
 //!   timing breakdown (`parse`, `dispatch`, `count.lookup`,
 //!   `count.answer`, `publish.compute`, `publish.persist`), for every

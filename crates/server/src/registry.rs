@@ -3,24 +3,34 @@
 //!
 //! Every dataset the workspace knows how to produce is describable as a
 //! small [`DatasetSpec`] (generator + parameters); generators are seeded,
-//! so a spec is a *name* for a concrete table. The registry materializes
-//! each spec at most once and shares the result behind [`Arc`]s.
+//! so a spec is a *name* for a concrete table. The registry shares each
+//! materialized table behind [`Arc`]s but holds it only by [`Weak`]: a
+//! spec is generated once while anything (an artifact, the server's
+//! `--preload`) holds its dataset, and the table is freed with its last
+//! holder. A later request for the spec regenerates it, bit for bit.
 use betalike_microdata::census::{self, CensusConfig};
 use betalike_microdata::json::Json;
 use betalike_microdata::patients;
 use betalike_microdata::synthetic::{random_table, SyntheticConfig};
 use betalike_microdata::Table;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError, Weak};
 
 /// Largest `rows` a generator-backed [`DatasetSpec`] accepts: twice the
 /// paper's 500k-tuple CENSUS. The generators pre-allocate per row, so an
 /// unbounded count on a request line could ask for any amount of memory.
 pub const MAX_DATASET_ROWS: usize = 1_000_000;
 
+/// Locks `mutex`, recovering the guard from a poisoned lock.
+fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// A lazily-populated, thread-safe map: each key's value is computed at
-/// most once (losers of an initialization race block on the winner), and
-/// lookups after that are a lock + clone.
+/// most once while the key is present (losers of an initialization race
+/// block on the winner), and lookups after that are a lock + clone. Once
+/// [`LazyMap::remove`] drops a key, the next `get_or_init` computes it
+/// afresh.
 ///
 /// The outer mutex only guards the `HashMap` itself — initializers run
 /// *outside* it, so a slow publish never blocks unrelated lookups.
@@ -44,7 +54,7 @@ impl<V: Clone> LazyMap<V> {
     /// across all threads) if it is not present yet.
     pub fn get_or_init(&self, key: &str, init: impl FnOnce() -> V) -> V {
         let cell = {
-            let mut map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let mut map = locked(&self.inner);
             Arc::clone(map.entry(key.to_string()).or_default())
         };
         cell.get_or_init(init).clone()
@@ -52,13 +62,19 @@ impl<V: Clone> LazyMap<V> {
 
     /// The value for `key`, if it has been initialized.
     pub fn get(&self, key: &str) -> Option<V> {
-        let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let map = locked(&self.inner);
         map.get(key).and_then(|cell| cell.get().cloned())
+    }
+
+    /// Drops `key`'s cell. A caller already blocked on (or holding) the
+    /// cell still gets its value; later callers start a new cell.
+    pub fn remove(&self, key: &str) {
+        locked(&self.inner).remove(key);
     }
 
     /// All keys whose value finished initializing, sorted.
     pub fn keys(&self) -> Vec<String> {
-        let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let map = locked(&self.inner);
         let mut keys: Vec<String> = map
             .iter()
             .filter(|(_, cell)| cell.get().is_some())
@@ -227,10 +243,13 @@ pub struct Dataset {
     pub sa: usize,
 }
 
-/// The process-wide dataset cache.
+/// The process-wide dataset cache. Each spec's slot holds its dataset by
+/// [`Weak`], so the registry alone never keeps a table alive; the slot's
+/// mutex is held while the spec generates, so racing callers wait for one
+/// generation instead of running their own.
 #[derive(Debug, Default)]
 pub struct Registry {
-    datasets: LazyMap<Arc<Dataset>>,
+    datasets: Mutex<HashMap<String, Arc<Mutex<Weak<Dataset>>>>>,
 }
 
 impl Registry {
@@ -239,16 +258,42 @@ impl Registry {
         Registry::default()
     }
 
-    /// The dataset for `spec`, generating it on first use.
+    /// The dataset for `spec`: the live one if any holder still has it,
+    /// otherwise generated now. Slots whose dataset died are pruned here.
     pub fn dataset(&self, spec: &DatasetSpec) -> Arc<Dataset> {
         let key = spec.canonical();
-        self.datasets
-            .get_or_init(&key, || Arc::new(materialize(spec, key.clone())))
+        let slot = {
+            let mut map = locked(&self.datasets);
+            // A slot only the map holds has no generation in flight (a
+            // generator holds its own `Arc`), so locking it cannot block.
+            map.retain(|_, slot| Arc::strong_count(slot) > 1 || locked(slot).strong_count() > 0);
+            Arc::clone(map.entry(key.clone()).or_default())
+        };
+        let mut weak = locked(&slot);
+        if let Some(dataset) = weak.upgrade() {
+            return dataset;
+        }
+        let dataset = Arc::new(materialize(spec, key));
+        *weak = Arc::downgrade(&dataset);
+        dataset
     }
 
-    /// Canonical keys of every dataset materialized so far, sorted.
+    /// Canonical keys of every dataset currently alive (held by something
+    /// besides the registry), sorted. A spec still generating is not
+    /// listed.
     pub fn loaded(&self) -> Vec<String> {
-        self.datasets.keys()
+        let map = locked(&self.datasets);
+        let mut keys: Vec<String> = map
+            .iter()
+            .filter(|(_, slot)| match slot.try_lock() {
+                Ok(weak) => weak.strong_count() > 0,
+                Err(TryLockError::Poisoned(e)) => e.into_inner().strong_count() > 0,
+                Err(TryLockError::WouldBlock) => false,
+            })
+            .map(|(k, _)| k.clone())
+            .collect();
+        keys.sort();
+        keys
     }
 }
 
@@ -349,6 +394,70 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "specs must share one table");
         assert_eq!(a.table.num_rows(), 200);
         assert_eq!(reg.loaded(), vec![spec.canonical()]);
+    }
+
+    #[test]
+    fn lazy_map_remove_starts_a_new_cell() {
+        let map: LazyMap<usize> = LazyMap::default();
+        assert_eq!(map.get_or_init("k", || 1), 1);
+        map.remove("k");
+        assert_eq!(map.get("k"), None);
+        assert!(map.keys().is_empty());
+        assert_eq!(map.get_or_init("k", || 2), 2);
+    }
+
+    /// Every racer holds its result until all have returned, so one
+    /// shared `Arc` means one generation.
+    #[test]
+    fn racing_callers_generate_a_dataset_once() {
+        let reg = Registry::new();
+        let spec = DatasetSpec::Census {
+            rows: 3000,
+            seed: 5,
+        };
+        let barrier = std::sync::Barrier::new(6);
+        let got: Vec<Arc<Dataset>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..6)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        reg.dataset(&spec)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(got.iter().all(|d| Arc::ptr_eq(d, &got[0])));
+        assert_eq!(reg.loaded(), vec![spec.canonical()]);
+    }
+
+    #[test]
+    fn datasets_die_with_their_last_holder() {
+        let reg = Registry::new();
+        let spec = DatasetSpec::Synthetic { rows: 400, seed: 8 };
+        let first = reg.dataset(&spec);
+        let second = reg.dataset(&spec);
+        drop(first);
+        assert_eq!(reg.loaded(), vec![spec.canonical()]);
+        let table = Arc::clone(&second.table);
+        drop(second);
+        assert!(reg.loaded().is_empty(), "the registry must not hold it");
+        // Generating another spec prunes the dead slot.
+        let other = reg.dataset(&DatasetSpec::Patients);
+        assert_eq!(locked(&reg.datasets).len(), 1);
+        drop(other);
+        // A regenerated table equals the first, column for column.
+        let again = reg.dataset(&spec);
+        assert!(!Arc::ptr_eq(&again.table, &table));
+        let arity = table.schema().arity();
+        assert_eq!(again.table.schema().arity(), arity);
+        for attr in 0..arity {
+            assert_eq!(
+                again.table.column(attr),
+                table.column(attr),
+                "column {attr}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! byte for byte. All published state lives in one shared `State`: the
 //! dataset registry and a content-addressed artifact cache whose entries
 //! are computed at most once and then served lock-free (workers hold
-//! `Arc`s; the cache mutex guards only map lookups).
+//! `Arc`s; the cache mutex guards only map lookups). With a data
+//! directory the cache is a read cache over the store (write-around): a
+//! fresh publish leaves memory once its save is indexed and comes back
+//! on its first read; without a store, or when the save failed, the
+//! artifact stays resident because no other copy exists (DESIGN.md §8).
 //!
 //! # Overload protection (DESIGN.md §12)
 //!
@@ -41,7 +45,7 @@
 use crate::artifact::Artifact;
 use crate::conn::Conn;
 use crate::obs::{ServerObs, Stage, StageMarks};
-use crate::registry::{DatasetSpec, Registry};
+use crate::registry::{Dataset, DatasetSpec, Registry};
 use crate::result_cache::{cache_key, ResultCache, DEFAULT_RESULT_CACHE};
 use crate::wire::{
     error_response, ok_response, retryable_error, CountRequest, PublishRequest, ERR_DEADLINE,
@@ -86,13 +90,15 @@ pub struct ServerConfig {
     /// connections, not the request rate.
     pub threads: usize,
     /// A dataset to materialize before accepting traffic, so first-query
-    /// latency is not paid by a client.
+    /// latency is not paid by a client. The server holds it for its whole
+    /// life; other datasets live only while an artifact holds them.
     pub preload: Option<DatasetSpec>,
     /// Durable publication storage. When set, every fresh publish is
-    /// written through to `<data-dir>/artifacts/` and lookups of handles
-    /// published by *previous* processes lazily load the stored artifact —
-    /// a restarted server answers `count`/`audit` for them bit-identically
-    /// with zero pipeline recomputation.
+    /// saved to `<data-dir>/artifacts/` and, once saved, dropped from
+    /// memory; the first lookup of a stored handle (published by this
+    /// process or a previous one) lazily loads the artifact — a restarted
+    /// server answers `count`/`audit` for them bit-identically with zero
+    /// pipeline recomputation.
     pub data_dir: Option<PathBuf>,
     /// Read poll tick in milliseconds (`0` →
     /// [`DEFAULT_READ_TIMEOUT_MS`]). Every `read_timeout_ms` a parked
@@ -174,6 +180,11 @@ impl Default for ServerConfig {
 #[derive(Debug)]
 struct State {
     registry: Registry,
+    /// The `--preload` dataset, held (never read) so the registry keeps
+    /// it loaded.
+    _preloaded: Option<Arc<Dataset>>,
+    /// Artifacts in memory: every publish without a durable copy, and
+    /// every stored one a lookup has read since.
     artifacts: crate::registry::LazyMap<Result<Arc<Artifact>, String>>,
     store: Option<ArtifactStore>,
     shutdown: AtomicBool,
@@ -313,8 +324,11 @@ fn build_state(
     } else {
         cfg.read_timeout_ms
     };
-    let state = Arc::new(State {
-        registry: Registry::new(),
+    let registry = Registry::new();
+    let preloaded = cfg.preload.as_ref().map(|spec| registry.dataset(spec));
+    Ok(Arc::new(State {
+        registry,
+        _preloaded: preloaded,
         artifacts: crate::registry::LazyMap::default(),
         store,
         shutdown: AtomicBool::new(false),
@@ -329,11 +343,7 @@ fn build_state(
         request_timeout_ms: cfg.request_timeout_ms,
         results: ResultCache::new(cfg.result_cache, &metrics),
         max_line_bytes: cfg.max_line_bytes,
-    });
-    if let Some(spec) = &cfg.preload {
-        state.registry.dataset(spec);
-    }
-    Ok(state)
+    }))
 }
 
 /// Spawns one acceptor plus the sticky worker pool.
@@ -869,7 +879,7 @@ fn resident_handles(state: &State) -> Vec<String> {
 }
 
 /// Mirrors the resident-artifact count into its gauge; call after any
-/// `artifacts.get_or_init`.
+/// `artifacts.get_or_init` or `artifacts.remove`.
 fn sync_artifacts(state: &Arc<State>) {
     let len = resident_handles(state).len().min(i64::MAX as usize) as i64;
     state.obs.artifacts_resident.set(len);
@@ -918,8 +928,11 @@ fn publish(state: &Arc<State>, doc: &Json, marks: &StageMarks<'_>) -> Result<Jso
 
 /// Computes `handle` into the resident cache (once, however many callers
 /// race) and, when this call was the one that computed it, drops stale
-/// cached counts and persists the result. Returns the cached outcome and
-/// whether it was computed here. Both publish paths go through this.
+/// cached counts and persists the result. Once the store has indexed the
+/// save the artifact leaves the cache (write-around): callers keep the
+/// returned `Arc`, and the first lookup after them reloads it through
+/// [`resident_or_stored`]. Returns the outcome and whether it was
+/// computed here. Both publish paths go through this.
 fn compute_and_persist(
     state: &Arc<State>,
     request: &PublishRequest,
@@ -938,15 +951,31 @@ fn compute_and_persist(
             )
         })
     });
-    sync_artifacts(state);
     if fresh {
         // A fresh compute may follow a quarantine of the same handle:
         // cached count responses for the old artifact must not survive it.
         state.results.invalidate(handle);
         if let Ok(artifact) = &artifact {
-            marks.time(Stage::PublishPersist, || persist(state, artifact));
+            let persisted = marks.time(Stage::PublishPersist, || persist(state, artifact));
+            if persisted {
+                state.artifacts.remove(handle);
+            }
+            let logger = &state.obs.logger;
+            if logger.enabled(Level::Info) {
+                logger.info(
+                    "artifact published",
+                    &[
+                        ("handle", handle.into()),
+                        ("algo", request.algo.as_str().into()),
+                        ("rows", artifact.dataset.table.num_rows().into()),
+                        ("persisted", persisted.into()),
+                        ("resident", (!persisted).into()),
+                    ],
+                );
+            }
         }
     }
+    sync_artifacts(state);
     (artifact, fresh)
 }
 
@@ -955,7 +984,8 @@ fn compute_and_persist(
 /// `inflight` claim set) while this worker polls for the result. If the
 /// deadline expires first, the requester gets a retryable `deadline`
 /// error and the computation keeps going — a later identical publish
-/// collects the finished artifact from the cache.
+/// collects the finished artifact from the cache or, once it is saved,
+/// from the store.
 fn publish_with_deadline(
     state: &Arc<State>,
     request: PublishRequest,
@@ -989,12 +1019,18 @@ fn publish_with_deadline(
     }
     let mut waited_ms: u64 = 0;
     loop {
-        match state.artifacts.get(&handle) {
-            Some(Ok(artifact)) => {
+        // Collect only once the background run has released its claim:
+        // its save is then settled, so the ack's `persisted` is final. A
+        // saved artifact has already left the cache and comes back from
+        // the store, as on any later lookup.
+        let running = {
+            let inflight = state.inflight.lock().unwrap_or_else(|e| e.into_inner());
+            inflight.contains(&handle)
+        };
+        if !running {
+            if let Some(artifact) = resident_or_stored(state, &handle)? {
                 return Ok(publish_ack(state, &request, handle, &artifact, true));
             }
-            Some(Err(e)) => return Err(format!("publish for `{handle}` had failed: {e}")),
-            None => {}
         }
         if waited_ms >= deadline_ms {
             return Ok(retryable_error(
@@ -1045,23 +1081,28 @@ fn publish_ack(
     ok_response(members)
 }
 
-/// Write-through persistence of a freshly computed artifact. Failure to
-/// persist never fails the publish — the artifact is resident and
-/// serveable — but is logged and visible as `persisted: false` in the
-/// acknowledgment (and counts toward the store's degraded trip wire).
-fn persist(state: &Arc<State>, artifact: &Arc<Artifact>) {
+/// Persistence of a freshly computed artifact; `true` once the store has
+/// indexed it. Failure to persist never fails the publish — the artifact
+/// stays resident and serveable — but is logged and visible as
+/// `persisted: false` in the acknowledgment (and counts toward the
+/// store's degraded trip wire).
+fn persist(state: &Arc<State>, artifact: &Arc<Artifact>) -> bool {
     let Some(store) = &state.store else {
-        return;
+        return false;
     };
     let snap = crate::persist::snapshot(artifact);
-    if let Err(e) = store.save(&snap) {
-        state.obs.logger.error(
-            "failed to persist artifact",
-            &[
-                ("handle", artifact.handle.as_str().into()),
-                ("error", e.to_string().into()),
-            ],
-        );
+    match store.save(&snap) {
+        Ok(_) => true,
+        Err(e) => {
+            state.obs.logger.error(
+                "failed to persist artifact",
+                &[
+                    ("handle", artifact.handle.as_str().into()),
+                    ("error", e.to_string().into()),
+                ],
+            );
+            false
+        }
     }
 }
 
@@ -1154,8 +1195,9 @@ fn lookup(state: &Arc<State>, handle: &str) -> Result<Arc<Artifact>, String> {
 /// The artifact for `handle` if it is resident or durably stored:
 /// memory-cache hit first, then a lazy load from the data directory
 /// (restored artifacts are inserted into the memory cache, so the disk is
-/// read at most once per handle per process). Each load and restore is
-/// timed into the `restore_ns` histogram.
+/// read at most once per handle per process — the first read of a publish
+/// this process saved included). Each load and restore is timed into the
+/// `restore_ns` histogram.
 ///
 /// `Ok(None)` means the handle is genuinely unknown. `Err` carries a
 /// wire-level message: a previously failed publish, or a stored artifact
@@ -1175,9 +1217,17 @@ fn resident_or_stored(state: &Arc<State>, handle: &str) -> Result<Option<Arc<Art
         Ok(None) => Ok(None),
         Ok(Some(snap)) => {
             let restored = crate::persist::restore_with(snap, true, Some(state.plan_stats.clone()));
-            state.obs.timer.record_since(&state.obs.restore_ns, start);
+            let restore_ns = state.obs.timer.record_since(&state.obs.restore_ns, start);
             match restored {
                 Ok(restored) => {
+                    let logger = &state.obs.logger;
+                    if logger.enabled(Level::Info) {
+                        let mut fields = vec![("handle", handle.into())];
+                        if let Some(ns) = restore_ns {
+                            fields.push(("restore_ms", (ns as f64 / 1e6).into()));
+                        }
+                        logger.info("artifact reloaded", &fields);
+                    }
                     // Racing loaders resolve to one inserted artifact.
                     let artifact = state.artifacts.get_or_init(handle, || Ok(restored));
                     sync_artifacts(state);
@@ -1245,10 +1295,11 @@ fn validate_preds(artifact: &Artifact, request: &CountRequest) -> Result<(), Str
 
 #[cfg(test)]
 mod tests {
-    //! The slow-query log through [`respond`], which every served and
-    //! [`LocalServer`] request line goes through. Each clock read moves
-    //! time one millisecond on, so a request's elapsed time and each
-    //! stage's duration are exact counts of the clock reads inside them.
+    //! The slow-query log and the `info` lines through [`respond`], which
+    //! every served and [`LocalServer`] request line goes through. Each
+    //! clock read moves time one millisecond on, so a request's elapsed
+    //! time and each stage's duration are exact counts of the clock reads
+    //! inside them.
 
     use super::*;
     use std::sync::atomic::AtomicU64;
@@ -1276,27 +1327,44 @@ mod tests {
         }
     }
 
+    /// A server logging JSON lines to a buffer, on a stepping clock.
+    fn stepped(cfg: ServerConfig) -> (Arc<State>, Arc<SteppingClock>, Sink) {
+        let (clock, sink) = (Arc::new(SteppingClock::default()), Sink::default());
+        let cfg = ServerConfig {
+            log_json: true,
+            ..cfg
+        };
+        let addr = ([127, 0, 0, 1], 0).into();
+        let state = build_state(&cfg, addr, Arc::clone(&clock) as _, Box::new(sink.clone()));
+        (state.expect("state"), clock, sink)
+    }
+
+    /// The logged lines without their `ts_ns`.
+    fn logged(sink: &Sink) -> Vec<String> {
+        let log = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let lines = log.lines().map(|l| l.split_once(',').unwrap().1);
+        lines.map(str::to_string).collect()
+    }
+
+    const PUBLISH: &str = r#"{"op":"publish","dataset":"synthetic","rows":300,"dseed":7,"algo":"anatomy","trace_id":"p-1"}"#;
+
+    fn count_line(handle: &str, id: &str) -> String {
+        format!(
+            r#"{{"op":"count","handle":{handle},"preds":[],"sa":{{"lo":0,"hi":3}},"trace_id":"{id}"}}"#
+        )
+    }
+
     /// Runs a publish, three counts (miss, hit, unknown handle), a ping
     /// and an unparseable line; returns the log lines without their
     /// `ts_ns` and the milliseconds the clock moved.
     fn run(obs: bool, slow_query_ms: u64) -> (Vec<String>, u64) {
-        let (clock, sink) = (Arc::new(SteppingClock::default()), Sink::default());
-        let cfg = ServerConfig {
+        let (state, clock, sink) = stepped(ServerConfig {
             obs,
             slow_query_ms,
-            log_json: true,
             ..Default::default()
-        };
-        let addr = ([127, 0, 0, 1], 0).into();
-        let state = build_state(&cfg, addr, Arc::clone(&clock) as _, Box::new(sink.clone()));
-        let state = state.expect("state");
-        let publish = r#"{"op":"publish","dataset":"synthetic","rows":300,"dseed":7,"algo":"anatomy","trace_id":"p-1"}"#;
-        let handle = respond(&state, publish).0.get("handle").unwrap().compact();
-        let count = |handle: &str, id: &str| {
-            format!(
-                r#"{{"op":"count","handle":{handle},"preds":[],"sa":{{"lo":0,"hi":3}},"trace_id":"{id}"}}"#
-            )
-        };
+        });
+        let handle = respond(&state, PUBLISH).0.get("handle").unwrap().compact();
+        let count = count_line;
         for line in [
             count(&handle, "c-miss"),
             count(&handle, "c-hit"),
@@ -1306,11 +1374,7 @@ mod tests {
         ] {
             respond(&state, &line);
         }
-        let log = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
-        let lines = log
-            .lines()
-            .map(|l| l.split_once(',').unwrap().1.to_string());
-        (lines.collect(), clock.0.load(Ordering::SeqCst) / 1_000_000)
+        (logged(&sink), clock.0.load(Ordering::SeqCst) / 1_000_000)
     }
 
     /// One `warn` line per request that took the threshold (6 ms) or
@@ -1334,5 +1398,42 @@ mod tests {
     fn slow_query_log_is_silent_when_disarmed() {
         assert_eq!(run(true, 0), (vec![], 6 * 2));
         assert_eq!(run(false, 1), (vec![], 0));
+    }
+
+    /// At `info` a fresh durable publish logs one line and its first read
+    /// another; at `warn` the same requests log nothing.
+    #[test]
+    fn info_logs_publishes_and_reloads() {
+        let dir = std::env::temp_dir().join(format!("betalike-info-log-{}", std::process::id()));
+        let requests = |log_level| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let (state, _, sink) = stepped(ServerConfig {
+                log_level,
+                data_dir: Some(dir.clone()),
+                ..Default::default()
+            });
+            let handle = respond(&state, PUBLISH).0.get("handle").unwrap().compact();
+            for id in ["c-1", "c-2"] {
+                assert!(respond(&state, &count_line(&handle, id))
+                    .0
+                    .get("estimate")
+                    .is_some());
+            }
+            (handle, logged(&sink))
+        };
+        let (handle, lines) = requests(Level::Info);
+        assert_eq!(
+            lines,
+            [
+                format!(
+                    r#""level":"info","msg":"artifact published","handle":{handle},"algo":"anatomy","rows":300,"persisted":true,"resident":false}}"#
+                ),
+                format!(
+                    r#""level":"info","msg":"artifact reloaded","handle":{handle},"restore_ms":3}}"#
+                ),
+            ]
+        );
+        assert_eq!(requests(Level::Warn).1, Vec::<String>::new());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
