@@ -21,10 +21,10 @@
 //! * `--preload` materializes a dataset before accepting traffic, e.g.
 //!   `census:10000:42`, `patients`, `synthetic:1000:7`.
 //! * `--data-dir` enables durable publications: fresh publishes are
-//!   saved to `DIR/artifacts/` and then leave memory; a stored handle
-//!   (published by this process or an earlier one) is loaded on its
-//!   first read and served bit-identically — no recomputation on
-//!   restart. Without it every artifact stays in memory. Inspect the
+//!   saved to `DIR/artifacts/` and leave memory once a newer save
+//!   displaces them; a stored handle (published by this process or an
+//!   earlier one) is loaded on its first read and served
+//!   bit-identically — no recomputation on restart. Without it every artifact stays in memory. Inspect the
 //!   directory offline with `betalike-store`.
 //! * `--queue` bounds the admission queue (default 64): connections
 //!   beyond busy workers + queue are refused with one retryable

@@ -14,7 +14,7 @@ use betalike_microdata::patients;
 use betalike_microdata::synthetic::{random_table, SyntheticConfig};
 use betalike_microdata::Table;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 
 /// Largest `rows` a generator-backed [`DatasetSpec`] accepts: twice the
 /// paper's 500k-tuple CENSUS. The generators pre-allocate per row, so an
@@ -70,6 +70,22 @@ impl<V: Clone> LazyMap<V> {
     /// cell still gets its value; later callers start a new cell.
     pub fn remove(&self, key: &str) {
         locked(&self.inner).remove(key);
+    }
+
+    /// Runs `init` for `key` unless another caller is already running it,
+    /// in which case this call waits for that run and returns its value.
+    /// Nothing is kept: once the run finishes, the next call runs `init`
+    /// again, so `init` should store its result where callers look first.
+    pub fn single_flight(&self, key: &str, init: impl FnOnce() -> V) -> V {
+        let mut ran = false;
+        let value = self.get_or_init(key, || {
+            ran = true;
+            init()
+        });
+        if ran {
+            self.remove(key);
+        }
+        value
     }
 
     /// All keys whose value finished initializing, sorted.
@@ -243,13 +259,16 @@ pub struct Dataset {
     pub sa: usize,
 }
 
-/// The process-wide dataset cache. Each spec's slot holds its dataset by
-/// [`Weak`], so the registry alone never keeps a table alive; the slot's
-/// mutex is held while the spec generates, so racing callers wait for one
-/// generation instead of running their own.
+/// The process-wide dataset cache. It holds each dataset only by
+/// [`Weak`], so the registry alone never keeps a table alive.
 #[derive(Debug, Default)]
 pub struct Registry {
-    datasets: Mutex<HashMap<String, Arc<Mutex<Weak<Dataset>>>>>,
+    /// Every dataset generated so far; entries whose dataset died are
+    /// pruned when a new one goes in.
+    live: Mutex<HashMap<String, Weak<Dataset>>>,
+    /// Generations in flight, so racing callers for one spec wait for one
+    /// generation instead of running their own.
+    generating: LazyMap<Arc<Dataset>>,
 }
 
 impl Registry {
@@ -259,37 +278,37 @@ impl Registry {
     }
 
     /// The dataset for `spec`: the live one if any holder still has it,
-    /// otherwise generated now. Slots whose dataset died are pruned here.
+    /// otherwise generated now.
     pub fn dataset(&self, spec: &DatasetSpec) -> Arc<Dataset> {
         let key = spec.canonical();
-        let slot = {
-            let mut map = locked(&self.datasets);
-            // A slot only the map holds has no generation in flight (a
-            // generator holds its own `Arc`), so locking it cannot block.
-            map.retain(|_, slot| Arc::strong_count(slot) > 1 || locked(slot).strong_count() > 0);
-            Arc::clone(map.entry(key.clone()).or_default())
-        };
-        let mut weak = locked(&slot);
-        if let Some(dataset) = weak.upgrade() {
+        if let Some(dataset) = self.live(&key) {
             return dataset;
         }
-        let dataset = Arc::new(materialize(spec, key));
-        *weak = Arc::downgrade(&dataset);
-        dataset
+        self.generating.single_flight(&key, || {
+            // A racer may have finished generating since the check above.
+            if let Some(dataset) = self.live(&key) {
+                return dataset;
+            }
+            let dataset = Arc::new(materialize(spec, key.clone()));
+            let mut live = locked(&self.live);
+            live.retain(|_, weak| weak.strong_count() > 0);
+            live.insert(key.clone(), Arc::downgrade(&dataset));
+            dataset
+        })
+    }
+
+    fn live(&self, key: &str) -> Option<Arc<Dataset>> {
+        locked(&self.live).get(key).and_then(Weak::upgrade)
     }
 
     /// Canonical keys of every dataset currently alive (held by something
     /// besides the registry), sorted. A spec still generating is not
     /// listed.
     pub fn loaded(&self) -> Vec<String> {
-        let map = locked(&self.datasets);
-        let mut keys: Vec<String> = map
+        let live = locked(&self.live);
+        let mut keys: Vec<String> = live
             .iter()
-            .filter(|(_, slot)| match slot.try_lock() {
-                Ok(weak) => weak.strong_count() > 0,
-                Err(TryLockError::Poisoned(e)) => e.into_inner().strong_count() > 0,
-                Err(TryLockError::WouldBlock) => false,
-            })
+            .filter(|(_, weak)| weak.strong_count() > 0)
             .map(|(k, _)| k.clone())
             .collect();
         keys.sort();
@@ -330,6 +349,7 @@ fn materialize(spec: &DatasetSpec, key: String) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn lazy_map_initializes_once() {
@@ -406,6 +426,55 @@ mod tests {
         assert_eq!(map.get_or_init("k", || 2), 2);
     }
 
+    /// Racers share one run of `init`; a call after it runs `init` again.
+    #[test]
+    fn single_flight_shares_one_run_and_keeps_nothing() {
+        let map: LazyMap<usize> = LazyMap::default();
+        let (entered, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                map.single_flight("k", || {
+                    entered.wait();
+                    release.wait();
+                    10
+                })
+            });
+            entered.wait();
+            // The leader is inside `init`, so this call joins its run.
+            let follower = s.spawn(|| map.single_flight("k", || unreachable!("joined")));
+            while Arc::strong_count(&locked(&map.inner)["k"]) < 3 {
+                std::thread::yield_now();
+            }
+            release.wait();
+            assert_eq!(leader.join().unwrap(), 10);
+            assert_eq!(follower.join().unwrap(), 10);
+        });
+        assert!(locked(&map.inner).is_empty());
+        assert_eq!(map.single_flight("k", || 20), 20);
+    }
+
+    /// Looking a live dataset up never hides it from `loaded`.
+    #[test]
+    fn loaded_lists_a_live_dataset_during_lookups() {
+        let reg = Registry::new();
+        let spec = DatasetSpec::Synthetic { rows: 200, seed: 3 };
+        let held = reg.dataset(&spec);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while !done.load(Ordering::SeqCst) {
+                        assert!(Arc::ptr_eq(&reg.dataset(&spec), &held));
+                    }
+                });
+            }
+            let listed = (0..200_000).filter(|_| reg.loaded() == [spec.canonical()]);
+            let listed = listed.count();
+            done.store(true, Ordering::SeqCst);
+            assert_eq!(listed, 200_000);
+        });
+    }
+
     /// Every racer holds its result until all have returned, so one
     /// shared `Arc` means one generation.
     #[test]
@@ -444,7 +513,7 @@ mod tests {
         assert!(reg.loaded().is_empty(), "the registry must not hold it");
         // Generating another spec prunes the dead slot.
         let other = reg.dataset(&DatasetSpec::Patients);
-        assert_eq!(locked(&reg.datasets).len(), 1);
+        assert_eq!(locked(&reg.live).len(), 1);
         drop(other);
         // A regenerated table equals the first, column for column.
         let again = reg.dataset(&spec);

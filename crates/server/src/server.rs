@@ -13,9 +13,10 @@
 //! are computed at most once and then served lock-free (workers hold
 //! `Arc`s; the cache mutex guards only map lookups). With a data
 //! directory the cache is a read cache over the store (write-around): a
-//! fresh publish leaves memory once its save is indexed and comes back
-//! on its first read; without a store, or when the save failed, the
-//! artifact stays resident because no other copy exists (DESIGN.md §8).
+//! fresh publish leaves the cache once its save is indexed and comes back
+//! on its first read, and only the newest save is held meanwhile; without
+//! a store, or when the save failed, the artifact stays resident because
+//! no other copy exists (DESIGN.md §8).
 //!
 //! # Overload protection (DESIGN.md §12)
 //!
@@ -45,7 +46,7 @@
 use crate::artifact::Artifact;
 use crate::conn::Conn;
 use crate::obs::{ServerObs, Stage, StageMarks};
-use crate::registry::{Dataset, DatasetSpec, Registry};
+use crate::registry::{Dataset, DatasetSpec, LazyMap, Registry};
 use crate::result_cache::{cache_key, ResultCache, DEFAULT_RESULT_CACHE};
 use crate::wire::{
     error_response, ok_response, retryable_error, CountRequest, PublishRequest, ERR_DEADLINE,
@@ -94,11 +95,11 @@ pub struct ServerConfig {
     /// life; other datasets live only while an artifact holds them.
     pub preload: Option<DatasetSpec>,
     /// Durable publication storage. When set, every fresh publish is
-    /// saved to `<data-dir>/artifacts/` and, once saved, dropped from
-    /// memory; the first lookup of a stored handle (published by this
-    /// process or a previous one) lazily loads the artifact — a restarted
-    /// server answers `count`/`audit` for them bit-identically with zero
-    /// pipeline recomputation.
+    /// saved to `<data-dir>/artifacts/` and, once a newer save displaces
+    /// it, dropped from memory; the first lookup of a stored handle
+    /// (published by this process or a previous one) lazily loads the
+    /// artifact — a restarted server answers `count`/`audit` for them
+    /// bit-identically with zero pipeline recomputation.
     pub data_dir: Option<PathBuf>,
     /// Read poll tick in milliseconds (`0` →
     /// [`DEFAULT_READ_TIMEOUT_MS`]). Every `read_timeout_ms` a parked
@@ -185,7 +186,15 @@ struct State {
     _preloaded: Option<Arc<Dataset>>,
     /// Artifacts in memory: every publish without a durable copy, and
     /// every stored one a lookup has read since.
-    artifacts: crate::registry::LazyMap<Result<Arc<Artifact>, String>>,
+    artifacts: LazyMap<Result<Arc<Artifact>, String>>,
+    /// The newest publish this process saved, held until the next save
+    /// replaces it, so the requests most likely to follow a publish — a
+    /// read of it, or another publish of its dataset — find it (and its
+    /// dataset) in memory instead of reloading or regenerating.
+    newest: Mutex<Option<Arc<Artifact>>>,
+    /// Stored handles being read into `artifacts`, so racing first reads
+    /// of one handle share one load.
+    loading: LazyMap<Result<Option<Arc<Artifact>>, String>>,
     store: Option<ArtifactStore>,
     shutdown: AtomicBool,
     addr: SocketAddr,
@@ -329,7 +338,9 @@ fn build_state(
     Ok(Arc::new(State {
         registry,
         _preloaded: preloaded,
-        artifacts: crate::registry::LazyMap::default(),
+        artifacts: LazyMap::default(),
+        newest: Mutex::new(None),
+        loading: LazyMap::default(),
         store,
         shutdown: AtomicBool::new(false),
         addr,
@@ -867,19 +878,26 @@ fn metrics(state: &Arc<State>) -> Json {
     ])
 }
 
-/// Handles of the artifacts held in memory, sorted. The artifact cache
-/// also remembers failed publishes (as `Err`s); those are not artifacts.
+/// Handles of the artifacts held in memory (the cache and the newest
+/// save), sorted. The artifact cache also remembers failed publishes (as
+/// `Err`s); those are not artifacts.
 fn resident_handles(state: &State) -> Vec<String> {
-    state
+    let mut handles: Vec<String> = state
         .artifacts
         .keys()
         .into_iter()
         .filter(|h| matches!(state.artifacts.get(h), Some(Ok(_))))
-        .collect()
+        .collect();
+    if let Some(newest) = &*state.newest.lock().unwrap_or_else(|e| e.into_inner()) {
+        if let Err(at) = handles.binary_search(&newest.handle) {
+            handles.insert(at, newest.handle.clone());
+        }
+    }
+    handles
 }
 
 /// Mirrors the resident-artifact count into its gauge; call after any
-/// `artifacts.get_or_init` or `artifacts.remove`.
+/// `artifacts.get_or_init`, `artifacts.remove` or change of `newest`.
 fn sync_artifacts(state: &Arc<State>) {
     let len = resident_handles(state).len().min(i64::MAX as usize) as i64;
     state.obs.artifacts_resident.set(len);
@@ -929,9 +947,9 @@ fn publish(state: &Arc<State>, doc: &Json, marks: &StageMarks<'_>) -> Result<Jso
 /// Computes `handle` into the resident cache (once, however many callers
 /// race) and, when this call was the one that computed it, drops stale
 /// cached counts and persists the result. Once the store has indexed the
-/// save the artifact leaves the cache (write-around): callers keep the
-/// returned `Arc`, and the first lookup after them reloads it through
-/// [`resident_or_stored`]. Returns the outcome and whether it was
+/// save the artifact leaves the cache (write-around) and is held as the
+/// newest save until the next one; after that the first lookup reloads it
+/// through [`resident_or_stored`]. Returns the outcome and whether it was
 /// computed here. Both publish paths go through this.
 fn compute_and_persist(
     state: &Arc<State>,
@@ -942,6 +960,11 @@ fn compute_and_persist(
     let mut fresh = false;
     let artifact = marks.time(Stage::PublishCompute, || {
         state.artifacts.get_or_init(handle, || {
+            // An identical publish may have saved this handle and moved it
+            // out of the cache since our caller looked: take that copy.
+            if let Ok(Some(artifact)) = saved(state, handle) {
+                return Ok(artifact);
+            }
             fresh = true;
             Artifact::publish_with(
                 &state.registry,
@@ -958,6 +981,12 @@ fn compute_and_persist(
         if let Ok(artifact) = &artifact {
             let persisted = marks.time(Stage::PublishPersist, || persist(state, artifact));
             if persisted {
+                // Held as the newest save before it leaves the cache, so a
+                // lookup always finds it in one of the two. The displaced
+                // save is freed after the lock is released.
+                let _displaced = (state.newest.lock())
+                    .unwrap_or_else(|e| e.into_inner())
+                    .replace(Arc::clone(artifact));
                 state.artifacts.remove(handle);
             }
             let logger = &state.obs.logger;
@@ -1028,8 +1057,16 @@ fn publish_with_deadline(
             inflight.contains(&handle)
         };
         if !running {
-            if let Some(artifact) = resident_or_stored(state, &handle)? {
-                return Ok(publish_ack(state, &request, handle, &artifact, true));
+            match resident_or_stored(state, &handle) {
+                Ok(Some(artifact)) => {
+                    return Ok(publish_ack(state, &request, handle, &artifact, true))
+                }
+                // The publish itself failed: a retry cannot help.
+                Err(e) if matches!(state.artifacts.get(&handle), Some(Err(_))) => return Err(e),
+                // Not collectable yet (a transient read error, or a copy
+                // quarantined since): keep polling, so that running out
+                // of time stays a retryable `deadline` refusal.
+                Ok(None) | Err(_) => {}
             }
         }
         if waited_ms >= deadline_ms {
@@ -1192,24 +1229,56 @@ fn lookup(state: &Arc<State>, handle: &str) -> Result<Arc<Artifact>, String> {
     }
 }
 
-/// The artifact for `handle` if it is resident or durably stored:
-/// memory-cache hit first, then a lazy load from the data directory
-/// (restored artifacts are inserted into the memory cache, so the disk is
-/// read at most once per handle per process — the first read of a publish
-/// this process saved included). Each load and restore is timed into the
-/// `restore_ns` histogram.
+/// The artifact for `handle` if it is resident or saved: memory-cache hit
+/// first, then the newest save or a lazy load from the data directory.
+/// Either goes into the memory cache, and racing first reads of a handle
+/// share one load, so the disk is read at most once per handle per
+/// process — the first read of a publish this process saved included,
+/// unless it is still the newest save.
 ///
 /// `Ok(None)` means the handle is genuinely unknown. `Err` carries a
-/// wire-level message: a previously failed publish, or a stored artifact
-/// that turned out corrupt — which is quarantined here, so a later
-/// `publish` of the same parameters recomputes and re-persists it.
+/// wire-level message: a previously failed publish, a transient read
+/// error, or a stored artifact that turned out corrupt — which is
+/// quarantined here, so a later `publish` of the same parameters
+/// recomputes and re-persists it.
 fn resident_or_stored(state: &Arc<State>, handle: &str) -> Result<Option<Arc<Artifact>>, String> {
-    match state.artifacts.get(handle) {
-        Some(Ok(artifact)) => return Ok(Some(artifact)),
-        Some(Err(e)) => return Err(format!("publish for `{handle}` had failed: {e}")),
-        None => {}
+    let failed = |e: String| format!("publish for `{handle}` had failed: {e}");
+    let cached = || match state.artifacts.get(handle) {
+        Some(Ok(artifact)) => Some(Ok(Some(artifact))),
+        Some(Err(e)) => Some(Err(failed(e))),
+        None => None,
+    };
+    if let Some(found) = cached() {
+        return found;
     }
-    let Some(store) = &state.store else {
+    if state.store.is_none() {
+        return Ok(None);
+    }
+    state.loading.single_flight(handle, || {
+        // A racer may have finished its load since the check above.
+        if let Some(found) = cached() {
+            return found;
+        }
+        let Some(artifact) = saved(state, handle)? else {
+            return Ok(None);
+        };
+        let artifact = state.artifacts.get_or_init(handle, || Ok(artifact));
+        sync_artifacts(state);
+        artifact.map(Some).map_err(failed)
+    })
+}
+
+/// `handle`'s saved copy from outside the memory cache, which this
+/// inserts nothing into: the newest save, or a load from the data
+/// directory. Each load and restore is timed into the `restore_ns`
+/// histogram. Results as for [`resident_or_stored`].
+fn saved(state: &Arc<State>, handle: &str) -> Result<Option<Arc<Artifact>>, String> {
+    if let Some(newest) = &*state.newest.lock().unwrap_or_else(|e| e.into_inner()) {
+        if newest.handle == handle {
+            return Ok(Some(Arc::clone(newest)));
+        }
+    }
+    let Some(store) = state.store.as_ref().filter(|s| s.entry(handle).is_some()) else {
         return Ok(None);
     };
     let start = state.obs.timer.start();
@@ -1228,10 +1297,7 @@ fn resident_or_stored(state: &Arc<State>, handle: &str) -> Result<Option<Arc<Art
                         }
                         logger.info("artifact reloaded", &fields);
                     }
-                    // Racing loaders resolve to one inserted artifact.
-                    let artifact = state.artifacts.get_or_init(handle, || Ok(restored));
-                    sync_artifacts(state);
-                    Ok(Some(artifact?))
+                    Ok(Some(restored))
                 }
                 Err(e) => {
                     let _ = store.quarantine(handle);
@@ -1400,40 +1466,110 @@ mod tests {
         assert_eq!(run(false, 1), (vec![], 0));
     }
 
-    /// At `info` a fresh durable publish logs one line and its first read
-    /// another; at `warn` the same requests log nothing.
+    const PUBLISH_OTHER: &str = r#"{"op":"publish","dataset":"synthetic","rows":300,"dseed":8,"algo":"anatomy","trace_id":"p-2"}"#;
+
+    /// A server on a fresh data directory, logging at `log_level`.
+    fn durable(tag: &str, log_level: Level) -> (Arc<State>, Sink, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("betalike-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (state, _, sink) = stepped(ServerConfig {
+            log_level,
+            data_dir: Some(dir.clone()),
+            ..Default::default()
+        });
+        (state, sink, dir)
+    }
+
+    fn handle_of(response: (Json, bool)) -> String {
+        response.0.get("handle").expect("handle").compact()
+    }
+
+    /// At `info` each fresh durable publish logs one line, and the first
+    /// read of one the newest save has displaced logs its reload; at
+    /// `warn` the same requests log nothing.
     #[test]
     fn info_logs_publishes_and_reloads() {
-        let dir = std::env::temp_dir().join(format!("betalike-info-log-{}", std::process::id()));
         let requests = |log_level| {
-            let _ = std::fs::remove_dir_all(&dir);
-            let (state, _, sink) = stepped(ServerConfig {
-                log_level,
-                data_dir: Some(dir.clone()),
-                ..Default::default()
-            });
-            let handle = respond(&state, PUBLISH).0.get("handle").unwrap().compact();
+            let (state, sink, dir) = durable("info-log", log_level);
+            let handle = handle_of(respond(&state, PUBLISH));
+            let other = handle_of(respond(&state, PUBLISH_OTHER));
             for id in ["c-1", "c-2"] {
                 assert!(respond(&state, &count_line(&handle, id))
                     .0
                     .get("estimate")
                     .is_some());
             }
-            (handle, logged(&sink))
+            let _ = std::fs::remove_dir_all(&dir);
+            (handle, other, logged(&sink))
         };
-        let (handle, lines) = requests(Level::Info);
+        let (handle, other, lines) = requests(Level::Info);
+        let published = |handle: &str| {
+            format!(
+                r#""level":"info","msg":"artifact published","handle":{handle},"algo":"anatomy","rows":300,"persisted":true,"resident":false}}"#
+            )
+        };
         assert_eq!(
             lines,
             [
-                format!(
-                    r#""level":"info","msg":"artifact published","handle":{handle},"algo":"anatomy","rows":300,"persisted":true,"resident":false}}"#
-                ),
+                published(&handle),
+                published(&other),
                 format!(
                     r#""level":"info","msg":"artifact reloaded","handle":{handle},"restore_ms":3}}"#
                 ),
             ]
         );
-        assert_eq!(requests(Level::Warn).1, Vec::<String>::new());
+        assert_eq!(requests(Level::Warn).2, Vec::<String>::new());
+    }
+
+    /// An identical publish that missed the saved copy in its first
+    /// lookup, and reaches the cache after the save moved the artifact
+    /// out, takes the saved copy — the newest save, or the store once the
+    /// newest has moved on — instead of computing it again.
+    #[test]
+    fn a_publish_racing_an_identical_save_takes_the_saved_copy() {
+        let (state, _, dir) = durable("publish-race", Level::Warn);
+        let request = PublishRequest::from_json(&Json::parse(PUBLISH).unwrap()).unwrap();
+        let handle = request.handle();
+        respond(&state, PUBLISH);
+        let racer = || compute_and_persist(&state, &request, &handle, &StageMarks::default());
+        let (artifact, fresh) = racer();
+        assert!(!fresh && artifact.is_ok());
+        assert_eq!(
+            state.obs.restore_ns.count(),
+            0,
+            "taken from the newest save"
+        );
+        state.artifacts.remove(&handle);
+        respond(&state, PUBLISH_OTHER);
+        let (artifact, fresh) = racer();
+        assert!(!fresh && artifact.is_ok());
+        assert_eq!(state.obs.restore_ns.count(), 1, "loaded from the store");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Publishes over one dataset with other parameters (a sweep over β)
+    /// share one generation of it: the newest save holds the dataset.
+    #[test]
+    fn a_sweep_over_one_dataset_generates_it_once() {
+        let (state, _, dir) = durable("sweep", Level::Warn);
+        let newest_dataset = || {
+            let newest = state.newest.lock().unwrap();
+            Arc::clone(&newest.as_ref().expect("a newest save").dataset)
+        };
+        let mut first = None;
+        for beta in [4, 3, 2] {
+            let line = format!(
+                r#"{{"op":"publish","dataset":"census","rows":1200,"dseed":4,"algo":"burel","beta":{beta}}}"#
+            );
+            assert_eq!(
+                respond(&state, &line).0.get("cached"),
+                Some(&Json::Bool(false))
+            );
+            let dataset = newest_dataset();
+            let first = first.get_or_insert_with(|| Arc::downgrade(&dataset));
+            let shared = first.upgrade().is_some_and(|d| Arc::ptr_eq(&d, &dataset));
+            assert!(shared, "beta {beta} regenerated the dataset");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

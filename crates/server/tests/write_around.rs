@@ -1,8 +1,10 @@
-//! Write-around with a data directory: a fresh publish leaves memory once
-//! the store has indexed it, and its first `count`, `audit`, `verify` or
-//! republish reloads it — answering byte for byte what a store-less
-//! server, which keeps every artifact resident, answers. Without a
-//! durable copy (a failed save) the artifact stays resident.
+//! Write-around with a data directory: a fresh publish leaves the cache
+//! once the store has indexed it, and only the newest save stays in
+//! memory until the next one replaces it. After that its first `count`,
+//! `audit`, `verify` or republish reloads it — answering byte for byte
+//! what a store-less server, which keeps every artifact resident,
+//! answers. Without a durable copy (a failed save) the artifact stays
+//! resident.
 
 use betalike_faults::{ChaosVfs, FaultPlan};
 use betalike_microdata::json::Json;
@@ -121,10 +123,15 @@ fn durable_publishes_leave_memory_and_reload_bit_identically() {
                 .to_string(),
         );
     }
-    assert_eq!(resident(&durable), 0, "saved publishes must leave memory");
+    assert_eq!(resident(&durable), 1, "only the newest save stays");
     let listing = call(&durable, &op("datasets"));
-    assert!(strings(&listing, "datasets").is_empty(), "{listing:?}");
-    assert!(strings(&listing, "published").is_empty(), "{listing:?}");
+    let newest = handles.last().unwrap().clone();
+    assert_eq!(strings(&listing, "published"), vec![newest], "{listing:?}");
+    assert_eq!(
+        strings(&listing, "datasets"),
+        vec![census(4).canonical()],
+        "held by the newest save"
+    );
     let mut stored = strings(&listing, "stored");
     stored.sort();
     let mut want = handles.clone();
@@ -142,12 +149,12 @@ fn durable_publishes_leave_memory_and_reload_bit_identically() {
             );
         }
     }
-    assert_eq!(resident(&durable), 5, "each first read reloads once");
-    assert_eq!(restores(&durable), 5.0);
+    assert_eq!(resident(&durable), 5);
+    assert_eq!(restores(&durable), 4.0, "each displaced save reloads once");
     // A republish is a cached read of the resident copy now.
     let ack = call(&durable, &publish_line(census(4), Algo::Burel));
     assert_eq!(ack.get("cached").and_then(Json::as_bool), Some(true));
-    assert_eq!(restores(&durable), 5.0);
+    assert_eq!(restores(&durable), 4.0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -157,14 +164,54 @@ fn a_republish_of_a_saved_handle_reloads_instead_of_recomputing() {
     let server = local(Some(&dir));
     let line = publish_line(census(5), Algo::Sabre);
     call(&server, &line);
+    let displacing = DatasetSpec::Synthetic { rows: 300, seed: 5 };
+    call(&server, &publish_line(displacing.clone(), Algo::Anatomy));
     let ack = call(&server, &line);
     assert_eq!(ack.get("cached").and_then(Json::as_bool), Some(true));
     assert_eq!(restores(&server), 1.0);
     let listing = call(&server, &op("datasets"));
-    assert!(
-        strings(&listing, "datasets").is_empty(),
+    assert_eq!(
+        strings(&listing, "datasets"),
+        vec![displacing.canonical()],
         "no dataset regenerated"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Racing first reads of a saved handle share one load from the store.
+#[test]
+fn racing_first_reads_load_a_handle_once() {
+    let dir = temp_dir("racing-reads");
+    let server = local(Some(&dir));
+    let spec = DatasetSpec::Census {
+        rows: 20_000,
+        seed: 9,
+    };
+    let ack = call(&server, &publish_line(spec, Algo::Mondrian));
+    let handle = ack
+        .get("handle")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
+    call(&server, &publish_line(census(9), Algo::Anatomy));
+    let line = &reads(&handle)[0];
+    let barrier = std::sync::Barrier::new(6);
+    let answers: Vec<String> = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..6)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    server.respond_line(line).0
+                })
+            })
+            .collect();
+        readers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert!(answers
+        .iter()
+        .all(|a| a == &answers[0] && a.contains("estimate")));
+    assert_eq!(restores(&server), 1.0);
+    assert_eq!(resident(&server), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -176,9 +223,9 @@ fn with_deadline(line: &str, ms: u64) -> String {
     doc.compact()
 }
 
-/// A background publish finishes, saves and leaves memory; the retry
-/// collects it from the store (`cached`, one restore) instead of
-/// recomputing it.
+/// A background publish finishes, saves and leaves memory once another
+/// save displaces it; the retry collects it from the store (`cached`, one
+/// restore) instead of recomputing it.
 #[test]
 fn an_expired_deadline_publish_is_collected_from_the_store() {
     let dir = temp_dir("deadline");
@@ -197,27 +244,25 @@ fn an_expired_deadline_publish_is_collected_from_the_store() {
         "{expired:?}"
     );
     let began = Instant::now();
-    loop {
-        let stored = strings(&call(&server, &op("datasets")), "stored");
-        if stored.len() == 1 && resident(&server) == 0 {
-            break;
-        }
+    while strings(&call(&server, &op("datasets")), "stored").is_empty() {
         assert!(
             began.elapsed() < Duration::from_secs(30),
-            "the background publish must save and leave memory"
+            "the background publish must save"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+    call(&server, &publish_line(census(6), Algo::Anatomy));
+    assert_eq!(resident(&server), 1, "only the displacing save is held");
     let ack = call(&server, &line);
     assert_eq!(ack.get("ok").and_then(Json::as_bool), Some(true), "{ack:?}");
     assert_eq!(ack.get("cached").and_then(Json::as_bool), Some(true));
     assert_eq!(restores(&server), 1.0);
-    assert_eq!(resident(&server), 1);
+    assert_eq!(resident(&server), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Within its deadline a publish is acknowledged even though the
-/// background thread already moved the artifact out of memory.
+/// background thread already moved the artifact out of the cache.
 #[test]
 fn a_deadline_publish_is_acknowledged_after_it_left_memory() {
     let dir = temp_dir("deadline-ok");
@@ -270,7 +315,7 @@ fn a_failed_save_keeps_the_artifact_resident() {
 }
 
 /// The server holds its `--preload` dataset; the datasets of durable
-/// publishes die with their artifacts.
+/// publishes die with their artifacts, all but the newest save's.
 #[test]
 fn the_preload_survives_durable_publishes() {
     let dir = temp_dir("preload");
@@ -290,7 +335,13 @@ fn the_preload_survives_durable_publishes() {
         assert_eq!(ack.get("persisted").and_then(Json::as_bool), Some(true));
     }
     let listing = call(&server, &op("datasets"));
-    assert_eq!(strings(&listing, "datasets"), vec![preload.canonical()]);
+    let newest = DatasetSpec::Synthetic {
+        rows: 300,
+        seed: 10,
+    };
+    let mut want = vec![preload.canonical(), newest.canonical()];
+    want.sort();
+    assert_eq!(strings(&listing, "datasets"), want);
     assert_eq!(strings(&listing, "stored").len(), 10);
     let _ = std::fs::remove_dir_all(&dir);
 }
