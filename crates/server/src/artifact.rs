@@ -50,7 +50,7 @@ pub struct Artifact {
 
 impl Artifact {
     /// Runs a publish request against the registry. Expensive — callers
-    /// cache the result per handle (see `server::State`).
+    /// keep the result per handle (see `server::resident`).
     ///
     /// # Errors
     ///

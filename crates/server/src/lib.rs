@@ -44,6 +44,7 @@ pub mod conn;
 pub(crate) mod obs;
 pub mod persist;
 pub mod registry;
+pub(crate) mod resident;
 pub(crate) mod result_cache;
 pub mod server;
 pub mod wire;

@@ -77,9 +77,9 @@ pub(crate) struct ServerObs {
     /// Panics caught on the request path or in a background publish since
     /// startup — each is a bug; a healthy server keeps this at 0.
     pub internal_errors: Arc<Counter>,
-    /// Successfully published artifacts in memory: read since start,
-    /// without a durable copy, or the newest save (failed publishes are
-    /// cached too, but not counted).
+    /// Published artifacts in memory: read since start, without a
+    /// durable copy, or the newest save. Kept by the resident set
+    /// ([`crate::resident`]) as its entries change.
     pub artifacts_resident: Arc<Gauge>,
     /// Lazy reloads of stored artifacts — a previous process's, or this
     /// one's after write-around: one record per `load` + `restore` a

@@ -22,18 +22,15 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 pub const MAX_DATASET_ROWS: usize = 1_000_000;
 
 /// Locks `mutex`, recovering the guard from a poisoned lock.
-fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A lazily-populated, thread-safe map: each key's value is computed at
-/// most once while the key is present (losers of an initialization race
-/// block on the winner), and lookups after that are a lock + clone. Once
-/// [`LazyMap::remove`] drops a key, the next `get_or_init` computes it
-/// afresh.
+/// A thread-safe map of runs in flight: racing callers for one key share
+/// one run ([`LazyMap::single_flight`]), and nothing is kept after it.
 ///
-/// The outer mutex only guards the `HashMap` itself — initializers run
-/// *outside* it, so a slow publish never blocks unrelated lookups.
+/// The outer mutex only guards the `HashMap` itself — runs go *outside*
+/// it, so a slow generation never blocks unrelated lookups.
 #[derive(Debug)]
 pub struct LazyMap<V> {
     inner: Mutex<HashMap<String, Arc<OnceLock<V>>>>,
@@ -50,54 +47,23 @@ impl<V> Default for LazyMap<V> {
 }
 
 impl<V: Clone> LazyMap<V> {
-    /// Returns the value for `key`, running `init` (at most once per key,
-    /// across all threads) if it is not present yet.
-    pub fn get_or_init(&self, key: &str, init: impl FnOnce() -> V) -> V {
-        let cell = {
-            let mut map = locked(&self.inner);
-            Arc::clone(map.entry(key.to_string()).or_default())
-        };
-        cell.get_or_init(init).clone()
-    }
-
-    /// The value for `key`, if it has been initialized.
-    pub fn get(&self, key: &str) -> Option<V> {
-        let map = locked(&self.inner);
-        map.get(key).and_then(|cell| cell.get().cloned())
-    }
-
-    /// Drops `key`'s cell. A caller already blocked on (or holding) the
-    /// cell still gets its value; later callers start a new cell.
-    pub fn remove(&self, key: &str) {
-        locked(&self.inner).remove(key);
-    }
-
     /// Runs `init` for `key` unless another caller is already running it,
     /// in which case this call waits for that run and returns its value.
     /// Nothing is kept: once the run finishes, the next call runs `init`
     /// again, so `init` should store its result where callers look first.
     pub fn single_flight(&self, key: &str, init: impl FnOnce() -> V) -> V {
+        let cell = Arc::clone(locked(&self.inner).entry(key.to_string()).or_default());
         let mut ran = false;
-        let value = self.get_or_init(key, || {
-            ran = true;
-            init()
-        });
+        let value = cell
+            .get_or_init(|| {
+                ran = true;
+                init()
+            })
+            .clone();
         if ran {
-            self.remove(key);
+            locked(&self.inner).remove(key);
         }
         value
-    }
-
-    /// All keys whose value finished initializing, sorted.
-    pub fn keys(&self) -> Vec<String> {
-        let map = locked(&self.inner);
-        let mut keys: Vec<String> = map
-            .iter()
-            .filter(|(_, cell)| cell.get().is_some())
-            .map(|(k, _)| k.clone())
-            .collect();
-        keys.sort();
-        keys
     }
 }
 
@@ -352,24 +318,6 @@ mod tests {
     use std::sync::atomic::Ordering;
 
     #[test]
-    fn lazy_map_initializes_once() {
-        let map: LazyMap<usize> = LazyMap::default();
-        let mut runs = 0;
-        assert_eq!(
-            map.get_or_init("k", || {
-                runs += 1;
-                7
-            }),
-            7
-        );
-        assert_eq!(map.get_or_init("k", || unreachable!()), 7);
-        assert_eq!(runs, 1);
-        assert_eq!(map.get("k"), Some(7));
-        assert_eq!(map.get("missing"), None);
-        assert_eq!(map.keys(), vec!["k".to_string()]);
-    }
-
-    #[test]
     fn spec_canonical_and_cli_roundtrip() {
         for (cli, canonical) in [
             ("census:2000:7", "census:rows=2000:seed=7"),
@@ -414,16 +362,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "specs must share one table");
         assert_eq!(a.table.num_rows(), 200);
         assert_eq!(reg.loaded(), vec![spec.canonical()]);
-    }
-
-    #[test]
-    fn lazy_map_remove_starts_a_new_cell() {
-        let map: LazyMap<usize> = LazyMap::default();
-        assert_eq!(map.get_or_init("k", || 1), 1);
-        map.remove("k");
-        assert_eq!(map.get("k"), None);
-        assert!(map.keys().is_empty());
-        assert_eq!(map.get_or_init("k", || 2), 2);
     }
 
     /// Racers share one run of `init`; a call after it runs `init` again.

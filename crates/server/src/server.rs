@@ -9,14 +9,15 @@
 //! one response per request, in request order (DESIGN.md §15); the
 //! deterministic harness in `tests/pipeline.rs` pins that wire behavior
 //! byte for byte. All published state lives in one shared `State`: the
-//! dataset registry and a content-addressed artifact cache whose entries
-//! are computed at most once and then served lock-free (workers hold
-//! `Arc`s; the cache mutex guards only map lookups). With a data
-//! directory the cache is a read cache over the store (write-around): a
-//! fresh publish leaves the cache once its save is indexed and comes back
-//! on its first read, and only the newest save is held meanwhile; without
-//! a store, or when the save failed, the artifact stays resident because
-//! no other copy exists (DESIGN.md §8).
+//! dataset registry and the resident artifact set ([`crate::resident`]),
+//! where each content-addressed handle is loaded or computed by one run
+//! at a time and then served lock-free (workers hold `Arc`s; the set's
+//! mutex guards only map lookups). With a data directory the set is a
+//! read cache over the store (write-around): a fresh publish leaves the
+//! map once its save is indexed and comes back on its first read, and
+//! only the newest save is held meanwhile; without a store, or when the
+//! save failed, the artifact stays resident because no other copy exists
+//! (DESIGN.md §8).
 //!
 //! # Overload protection (DESIGN.md §12)
 //!
@@ -46,7 +47,8 @@
 use crate::artifact::Artifact;
 use crate::conn::Conn;
 use crate::obs::{ServerObs, Stage, StageMarks};
-use crate::registry::{Dataset, DatasetSpec, LazyMap, Registry};
+use crate::registry::{Dataset, DatasetSpec, Registry};
+use crate::resident::{Done, Found, Lead, Resident};
 use crate::result_cache::{cache_key, ResultCache, DEFAULT_RESULT_CACHE};
 use crate::wire::{
     error_response, ok_response, retryable_error, CountRequest, PublishRequest, ERR_DEADLINE,
@@ -57,7 +59,6 @@ use betalike_microdata::json::Json;
 use betalike_obs::{Clock, Level, RealClock, Registry as MetricsRegistry};
 use betalike_query::{AggQuery, CatalogStats, RangePred};
 use betalike_store::{ArtifactStore, StoreObs};
-use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -66,14 +67,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Admission-queue depth when [`ServerConfig::queue`] is `0`.
 pub const DEFAULT_QUEUE: usize = 64;
 /// Read poll tick in milliseconds when [`ServerConfig::read_timeout_ms`]
 /// is `0`. This is also the shutdown-latency bound for idle workers.
 pub const DEFAULT_READ_TIMEOUT_MS: u64 = 200;
-/// Poll step for deadline-bounded publishes, milliseconds.
-const PUBLISH_POLL_MS: u64 = 10;
 
 /// How a server is started.
 #[derive(Debug, Clone)]
@@ -184,17 +184,12 @@ struct State {
     /// The `--preload` dataset, held (never read) so the registry keeps
     /// it loaded.
     _preloaded: Option<Arc<Dataset>>,
-    /// Artifacts in memory: every publish without a durable copy, and
-    /// every stored one a lookup has read since.
-    artifacts: LazyMap<Result<Arc<Artifact>, String>>,
-    /// The newest publish this process saved, held until the next save
-    /// replaces it, so the requests most likely to follow a publish — a
-    /// read of it, or another publish of its dataset — find it (and its
-    /// dataset) in memory instead of reloading or regenerating.
-    newest: Mutex<Option<Arc<Artifact>>>,
-    /// Stored handles being read into `artifacts`, so racing first reads
-    /// of one handle share one load.
-    loading: LazyMap<Result<Option<Arc<Artifact>>, String>>,
+    /// Artifacts in memory — every publish without a durable copy, every
+    /// stored one a lookup has read since, and the newest save, held so
+    /// the requests most likely to follow a publish (a read of it, or
+    /// another publish of its dataset) find it and its dataset in memory —
+    /// plus the one run per handle that loads or computes the rest.
+    resident: Resident<Arc<Artifact>>,
     store: Option<ArtifactStore>,
     shutdown: AtomicBool,
     addr: SocketAddr,
@@ -209,10 +204,6 @@ struct State {
     obs: ServerObs,
     /// Plan-classification counters shared by every artifact's catalog.
     plan_stats: CatalogStats,
-    /// Handles a detached background publisher is currently computing
-    /// (deadline-bounded publishes claim here so at most one background
-    /// thread runs per handle).
-    inflight: Mutex<BTreeSet<String>>,
     /// The effective read poll tick ([`ServerConfig::read_timeout_ms`],
     /// `0` resolved to [`DEFAULT_READ_TIMEOUT_MS`]).
     read_tick_ms: u64,
@@ -338,9 +329,7 @@ fn build_state(
     Ok(Arc::new(State {
         registry,
         _preloaded: preloaded,
-        artifacts: LazyMap::default(),
-        newest: Mutex::new(None),
-        loading: LazyMap::default(),
+        resident: Resident::new(Arc::clone(&obs.artifacts_resident)),
         store,
         shutdown: AtomicBool::new(false),
         addr,
@@ -348,7 +337,6 @@ fn build_state(
         queue_capacity: queue,
         obs,
         plan_stats,
-        inflight: Mutex::new(BTreeSet::new()),
         read_tick_ms,
         idle_timeout_ms: cfg.idle_timeout_ms,
         request_timeout_ms: cfg.request_timeout_ms,
@@ -720,7 +708,12 @@ fn dispatch(
         "ping" => Ok(ok_response(vec![("pong".into(), Json::Bool(true))])),
         "datasets" => {
             let datasets = state.registry.loaded().into_iter().map(Json::Str).collect();
-            let published = resident_handles(state).into_iter().map(Json::Str).collect();
+            let published = state
+                .resident
+                .handles()
+                .into_iter()
+                .map(Json::Str)
+                .collect();
             let mut members = vec![
                 ("datasets".into(), Json::Arr(datasets)),
                 ("published".into(), Json::Arr(published)),
@@ -878,31 +871,6 @@ fn metrics(state: &Arc<State>) -> Json {
     ])
 }
 
-/// Handles of the artifacts held in memory (the cache and the newest
-/// save), sorted. The artifact cache also remembers failed publishes (as
-/// `Err`s); those are not artifacts.
-fn resident_handles(state: &State) -> Vec<String> {
-    let mut handles: Vec<String> = state
-        .artifacts
-        .keys()
-        .into_iter()
-        .filter(|h| matches!(state.artifacts.get(h), Some(Ok(_))))
-        .collect();
-    if let Some(newest) = &*state.newest.lock().unwrap_or_else(|e| e.into_inner()) {
-        if let Err(at) = handles.binary_search(&newest.handle) {
-            handles.insert(at, newest.handle.clone());
-        }
-    }
-    handles
-}
-
-/// Mirrors the resident-artifact count into its gauge; call after any
-/// `artifacts.get_or_init`, `artifacts.remove` or change of `newest`.
-fn sync_artifacts(state: &Arc<State>) {
-    let len = resident_handles(state).len().min(i64::MAX as usize) as i64;
-    state.obs.artifacts_resident.set(len);
-}
-
 fn publish(state: &Arc<State>, doc: &Json, marks: &StageMarks<'_>) -> Result<Json, String> {
     let request = PublishRequest::from_json(doc)?;
     let deadline_ms = match doc.get("deadline_ms") {
@@ -912,14 +880,35 @@ fn publish(state: &Arc<State>, doc: &Json, marks: &StageMarks<'_>) -> Result<Jso
                 .ok_or("`deadline_ms` must be a non-negative integer")?,
         ),
     };
+    let timeout = deadline_ms.map_or(Duration::MAX, Duration::from_millis);
     let handle = request.handle();
-    // A handle persisted by a previous process is *loaded*, not recomputed
-    // (and counts as cached: the publish work already happened).
-    match resident_or_stored(state, &handle) {
-        Ok(Some(artifact)) => return Ok(publish_ack(state, &request, handle, &artifact, false)),
-        Ok(None) | Err(_) => {
-            // Unknown (or quarantined-as-corrupt, already logged): compute.
+    let expired = |handle: &str| {
+        let ms = deadline_ms.unwrap_or_default();
+        Ok(retryable_error(
+            ERR_DEADLINE,
+            &format!(
+                "deadline of {ms}ms expired before `{handle}` was ready; the computation \
+                 continues in the background — retry to collect it"
+            ),
+        ))
+    };
+    // Resident, or being loaded or published by another request: wait for
+    // that run (within the deadline, if there is one) and take its result.
+    let lead = match state.resident.find(&handle, timeout) {
+        Found::Ready(artifact) => {
+            return Ok(publish_ack(state, &request, handle, &artifact, false))
         }
+        Found::Failed(e) => return Err(e),
+        Found::Pending => return expired(&handle),
+        Found::Lead(lead) => lead,
+    };
+    // A handle persisted earlier (by this process or a previous one) is
+    // *loaded*, not recomputed, and counts as cached: the publish work
+    // already happened. A copy that cannot be read (transient, or corrupt
+    // and now quarantined — both logged) is computed afresh.
+    if let Ok(Some(artifact)) = saved(state, &handle) {
+        lead.finish(Done::Ready(Arc::clone(&artifact)), false);
+        return Ok(publish_ack(state, &request, handle, &artifact, false));
     }
     // Cold path. A degraded store could not persist the result, and a
     // server that keeps accumulating publishes it cannot make durable is
@@ -937,103 +926,23 @@ fn publish(state: &Arc<State>, doc: &Json, marks: &StageMarks<'_>) -> Result<Jso
             ));
         }
     }
-    if let Some(ms) = deadline_ms {
-        return publish_with_deadline(state, request, handle, ms);
+    if deadline_ms.is_none() {
+        let artifact = compute_and_persist(state, &request, lead, marks)?;
+        return Ok(publish_ack(state, &request, handle, &artifact, true));
     }
-    let (artifact, fresh) = compute_and_persist(state, &request, &handle, marks);
-    Ok(publish_ack(state, &request, handle, &artifact?, fresh))
-}
-
-/// Computes `handle` into the resident cache (once, however many callers
-/// race) and, when this call was the one that computed it, drops stale
-/// cached counts and persists the result. Once the store has indexed the
-/// save the artifact leaves the cache (write-around) and is held as the
-/// newest save until the next one; after that the first lookup reloads it
-/// through [`resident_or_stored`]. Returns the outcome and whether it was
-/// computed here. Both publish paths go through this.
-fn compute_and_persist(
-    state: &Arc<State>,
-    request: &PublishRequest,
-    handle: &str,
-    marks: &StageMarks<'_>,
-) -> (Result<Arc<Artifact>, String>, bool) {
-    let mut fresh = false;
-    let artifact = marks.time(Stage::PublishCompute, || {
-        state.artifacts.get_or_init(handle, || {
-            // An identical publish may have saved this handle and moved it
-            // out of the cache since our caller looked: take that copy.
-            if let Ok(Some(artifact)) = saved(state, handle) {
-                return Ok(artifact);
-            }
-            fresh = true;
-            Artifact::publish_with(
-                &state.registry,
-                request,
-                true,
-                Some(state.plan_stats.clone()),
-            )
-        })
-    });
-    if fresh {
-        // A fresh compute may follow a quarantine of the same handle:
-        // cached count responses for the old artifact must not survive it.
-        state.results.invalidate(handle);
-        if let Ok(artifact) = &artifact {
-            let persisted = marks.time(Stage::PublishPersist, || persist(state, artifact));
-            if persisted {
-                // Held as the newest save before it leaves the cache, so a
-                // lookup always finds it in one of the two. The displaced
-                // save is freed after the lock is released.
-                let _displaced = (state.newest.lock())
-                    .unwrap_or_else(|e| e.into_inner())
-                    .replace(Arc::clone(artifact));
-                state.artifacts.remove(handle);
-            }
-            let logger = &state.obs.logger;
-            if logger.enabled(Level::Info) {
-                logger.info(
-                    "artifact published",
-                    &[
-                        ("handle", handle.into()),
-                        ("algo", request.algo.as_str().into()),
-                        ("rows", artifact.dataset.table.num_rows().into()),
-                        ("persisted", persisted.into()),
-                        ("resident", (!persisted).into()),
-                    ],
-                );
-            }
-        }
-    }
-    sync_artifacts(state);
-    (artifact, fresh)
-}
-
-/// A cold-cache publish bounded by `deadline_ms`: the computation runs on
-/// a detached background thread (at most one per handle, via the
-/// `inflight` claim set) while this worker polls for the result. If the
-/// deadline expires first, the requester gets a retryable `deadline`
-/// error and the computation keeps going — a later identical publish
-/// collects the finished artifact from the cache or, once it is saved,
-/// from the store.
-fn publish_with_deadline(
-    state: &Arc<State>,
-    request: PublishRequest,
-    handle: String,
-    deadline_ms: u64,
-) -> Result<Json, String> {
-    let claimed = {
-        let mut inflight = state.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        inflight.insert(handle.clone())
-    };
-    if claimed {
-        let state = Arc::clone(state);
-        let handle = handle.clone();
-        let request = request.clone();
-        std::thread::spawn(move || {
-            // The claim must be released even if the pipeline panics
-            // (mirroring the catch_unwind around foreground dispatch).
+    // The computation runs on a detached thread; if the deadline expires
+    // first the request gets a retryable `deadline` error and the run
+    // keeps going, for a later identical publish to wait on or find.
+    let slot = lead.slot();
+    std::thread::spawn({
+        let (state, request) = (Arc::clone(state), request.clone());
+        move || {
+            let handle = lead.handle().to_string();
+            // A panic settles the run as failed (the lead is dropped while
+            // unwinding), so its waiters wake; it is counted here, as the
+            // catch_unwind around foreground dispatch counts its own.
             let run = catch_unwind(AssertUnwindSafe(|| {
-                compute_and_persist(&state, &request, &handle, &StageMarks::default())
+                compute_and_persist(&state, &request, lead, &StageMarks::default())
             }));
             if run.is_err() {
                 state.obs.internal_errors.inc();
@@ -1042,46 +951,61 @@ fn publish_with_deadline(
                     &[("handle", handle.as_str().into())],
                 );
             }
-            let mut inflight = state.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            inflight.remove(&handle);
-        });
-    }
-    let mut waited_ms: u64 = 0;
-    loop {
-        // Collect only once the background run has released its claim:
-        // its save is then settled, so the ack's `persisted` is final. A
-        // saved artifact has already left the cache and comes back from
-        // the store, as on any later lookup.
-        let running = {
-            let inflight = state.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            inflight.contains(&handle)
-        };
-        if !running {
-            match resident_or_stored(state, &handle) {
-                Ok(Some(artifact)) => {
-                    return Ok(publish_ack(state, &request, handle, &artifact, true))
-                }
-                // The publish itself failed: a retry cannot help.
-                Err(e) if matches!(state.artifacts.get(&handle), Some(Err(_))) => return Err(e),
-                // Not collectable yet (a transient read error, or a copy
-                // quarantined since): keep polling, so that running out
-                // of time stays a retryable `deadline` refusal.
-                Ok(None) | Err(_) => {}
-            }
         }
-        if waited_ms >= deadline_ms {
-            return Ok(retryable_error(
-                ERR_DEADLINE,
-                &format!(
-                    "deadline of {deadline_ms}ms expired before `{handle}` was ready; the \
-                     computation continues in the background — retry to collect it"
-                ),
-            ));
-        }
-        let step = (deadline_ms - waited_ms).clamp(1, PUBLISH_POLL_MS);
-        std::thread::sleep(std::time::Duration::from_millis(step));
-        waited_ms += step;
+    });
+    match slot.wait(timeout) {
+        Some(Done::Ready(artifact)) => Ok(publish_ack(state, &request, handle, &artifact, true)),
+        Some(Done::Failed(e)) => Err(e),
+        // The run always settles with an artifact or an error.
+        None | Some(Done::Nothing) => expired(&handle),
     }
+}
+
+/// Computes the artifact for `lead`'s handle and settles its run: drops
+/// stale cached counts, persists the result, and — once the store has
+/// indexed the save — holds it as the newest save instead of in the map
+/// (write-around). A failed publish settles with its error and leaves
+/// nothing behind. Both publish paths go through this.
+fn compute_and_persist(
+    state: &Arc<State>,
+    request: &PublishRequest,
+    lead: Lead<Arc<Artifact>>,
+    marks: &StageMarks<'_>,
+) -> Result<Arc<Artifact>, String> {
+    let artifact = marks.time(Stage::PublishCompute, || {
+        Artifact::publish_with(
+            &state.registry,
+            request,
+            true,
+            Some(state.plan_stats.clone()),
+        )
+    });
+    // A fresh compute may follow a quarantine of the same handle: cached
+    // count responses for the old artifact must not survive it.
+    state.results.invalidate(lead.handle());
+    let artifact = match artifact {
+        Ok(artifact) => artifact,
+        Err(e) => {
+            lead.finish(Done::Failed(e.clone()), false);
+            return Err(e);
+        }
+    };
+    let persisted = marks.time(Stage::PublishPersist, || persist(state, &artifact));
+    lead.finish(Done::Ready(Arc::clone(&artifact)), persisted);
+    let logger = &state.obs.logger;
+    if logger.enabled(Level::Info) {
+        logger.info(
+            "artifact published",
+            &[
+                ("handle", artifact.handle.as_str().into()),
+                ("algo", request.algo.as_str().into()),
+                ("rows", artifact.dataset.table.num_rows().into()),
+                ("persisted", persisted.into()),
+                ("resident", (!persisted).into()),
+            ],
+        );
+    }
+    Ok(artifact)
 }
 
 /// The acknowledgment for a successful publish. `fresh` means the work
@@ -1229,55 +1153,42 @@ fn lookup(state: &Arc<State>, handle: &str) -> Result<Arc<Artifact>, String> {
     }
 }
 
-/// The artifact for `handle` if it is resident or saved: memory-cache hit
-/// first, then the newest save or a lazy load from the data directory.
-/// Either goes into the memory cache, and racing first reads of a handle
-/// share one load, so the disk is read at most once per handle per
-/// process — the first read of a publish this process saved included,
-/// unless it is still the newest save.
+/// The artifact for `handle` if it is resident or saved: a resident copy
+/// (the newest save included); else the result of the run going for the
+/// handle, a load or a publish; else a load from the data directory, run
+/// as the handle's run so racing first reads share it. A loaded artifact
+/// stays resident, so the disk is read at most once per handle per
+/// process.
 ///
 /// `Ok(None)` means the handle is genuinely unknown. `Err` carries a
-/// wire-level message: a previously failed publish, a transient read
-/// error, or a stored artifact that turned out corrupt — which is
-/// quarantined here, so a later `publish` of the same parameters
+/// wire-level message: a publish that failed while this waited for it, a
+/// transient read error, or a stored artifact that turned out corrupt —
+/// which is quarantined here, so a later `publish` of the same parameters
 /// recomputes and re-persists it.
 fn resident_or_stored(state: &Arc<State>, handle: &str) -> Result<Option<Arc<Artifact>>, String> {
-    let failed = |e: String| format!("publish for `{handle}` had failed: {e}");
-    let cached = || match state.artifacts.get(handle) {
-        Some(Ok(artifact)) => Some(Ok(Some(artifact))),
-        Some(Err(e)) => Some(Err(failed(e))),
-        None => None,
-    };
-    if let Some(found) = cached() {
-        return found;
-    }
-    if state.store.is_none() {
-        return Ok(None);
-    }
-    state.loading.single_flight(handle, || {
-        // A racer may have finished its load since the check above.
-        if let Some(found) = cached() {
-            return found;
+    match state.resident.find(handle, Duration::MAX) {
+        Found::Ready(artifact) => Ok(Some(artifact)),
+        Found::Failed(e) => Err(e),
+        Found::Pending => Ok(None), // unreachable without a timeout
+        Found::Lead(lead) => {
+            let found = saved(state, handle);
+            // Waiters look again when there is no artifact: the handle is
+            // unknown, or this caller reports why its copy is unreadable.
+            let done = match &found {
+                Ok(Some(artifact)) => Done::Ready(Arc::clone(artifact)),
+                Ok(None) | Err(_) => Done::Nothing,
+            };
+            lead.finish(done, false);
+            found
         }
-        let Some(artifact) = saved(state, handle)? else {
-            return Ok(None);
-        };
-        let artifact = state.artifacts.get_or_init(handle, || Ok(artifact));
-        sync_artifacts(state);
-        artifact.map(Some).map_err(failed)
-    })
+    }
 }
 
-/// `handle`'s saved copy from outside the memory cache, which this
-/// inserts nothing into: the newest save, or a load from the data
-/// directory. Each load and restore is timed into the `restore_ns`
-/// histogram. Results as for [`resident_or_stored`].
+/// `handle`'s copy in the data directory, loaded and restored; `Ok(None)`
+/// without a store or when the store has not indexed the handle. Each
+/// load and restore is timed into the `restore_ns` histogram. Errors as
+/// for [`resident_or_stored`].
 fn saved(state: &Arc<State>, handle: &str) -> Result<Option<Arc<Artifact>>, String> {
-    if let Some(newest) = &*state.newest.lock().unwrap_or_else(|e| e.into_inner()) {
-        if newest.handle == handle {
-            return Ok(Some(Arc::clone(newest)));
-        }
-    }
     let Some(store) = state.store.as_ref().filter(|s| s.entry(handle).is_some()) else {
         return Ok(None);
     };
@@ -1368,6 +1279,7 @@ mod tests {
     //! inside them.
 
     use super::*;
+    use std::collections::BTreeSet;
     use std::sync::atomic::AtomicU64;
 
     #[derive(Debug, Default)]
@@ -1521,40 +1433,14 @@ mod tests {
         assert_eq!(requests(Level::Warn).2, Vec::<String>::new());
     }
 
-    /// An identical publish that missed the saved copy in its first
-    /// lookup, and reaches the cache after the save moved the artifact
-    /// out, takes the saved copy — the newest save, or the store once the
-    /// newest has moved on — instead of computing it again.
-    #[test]
-    fn a_publish_racing_an_identical_save_takes_the_saved_copy() {
-        let (state, _, dir) = durable("publish-race", Level::Warn);
-        let request = PublishRequest::from_json(&Json::parse(PUBLISH).unwrap()).unwrap();
-        let handle = request.handle();
-        respond(&state, PUBLISH);
-        let racer = || compute_and_persist(&state, &request, &handle, &StageMarks::default());
-        let (artifact, fresh) = racer();
-        assert!(!fresh && artifact.is_ok());
-        assert_eq!(
-            state.obs.restore_ns.count(),
-            0,
-            "taken from the newest save"
-        );
-        state.artifacts.remove(&handle);
-        respond(&state, PUBLISH_OTHER);
-        let (artifact, fresh) = racer();
-        assert!(!fresh && artifact.is_ok());
-        assert_eq!(state.obs.restore_ns.count(), 1, "loaded from the store");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Publishes over one dataset with other parameters (a sweep over β)
     /// share one generation of it: the newest save holds the dataset.
     #[test]
     fn a_sweep_over_one_dataset_generates_it_once() {
         let (state, _, dir) = durable("sweep", Level::Warn);
         let newest_dataset = || {
-            let newest = state.newest.lock().unwrap();
-            Arc::clone(&newest.as_ref().expect("a newest save").dataset)
+            let newest = state.resident.newest().expect("a newest save");
+            Arc::clone(&newest.dataset)
         };
         let mut first = None;
         for beta in [4, 3, 2] {
@@ -1571,5 +1457,35 @@ mod tests {
             assert!(shared, "beta {beta} regenerated the dataset");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A failed publish keeps nothing: 200 of them, each with a fresh
+    /// handle (the seed is part of it), leave the resident map empty, and
+    /// a later `count` on one of those handles answers `unknown handle`.
+    #[test]
+    fn failed_publishes_leave_no_entry_behind() {
+        let (state, _, _) = stepped(ServerConfig::default());
+        let failing = |seed: u32| {
+            format!(
+                r#"{{"op":"publish","dataset":"synthetic","rows":300,"dseed":7,"algo":"burel","qi":9,"seed":{seed}}}"#
+            )
+        };
+        let mut handles = BTreeSet::new();
+        for seed in 0..200 {
+            let (response, _) = respond(&state, &failing(seed));
+            let error = response.get("error").and_then(Json::as_str).unwrap();
+            assert!(error.contains("`qi` must be within"), "{error}");
+            let request = PublishRequest::from_json(&Json::parse(&failing(seed)).unwrap());
+            handles.insert(request.unwrap().handle());
+        }
+        assert_eq!(handles.len(), 200, "every seed names a new handle");
+        assert_eq!(state.resident.entries(), 0);
+        assert_eq!(state.obs.artifacts_resident.get(), 0);
+        let first = handles.first().unwrap();
+        let (response, _) = respond(&state, &count_line(&format!("\"{first}\""), "c-1"));
+        assert_eq!(
+            response.get("error").and_then(Json::as_str),
+            Some(format!("unknown handle `{first}` (publish first)").as_str())
+        );
     }
 }

@@ -345,3 +345,32 @@ fn the_preload_survives_durable_publishes() {
     assert_eq!(strings(&listing, "stored").len(), 10);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A lookup that meets a running publish waits for it: a `count` sent
+/// straight after a `deadline_ms: 0` publish, while the background run is
+/// still computing, answers what a store-less server answers once that
+/// publish is done — not `unknown handle`.
+#[test]
+fn a_count_waits_for_a_running_deadline_publish() {
+    let dir = temp_dir("count-waits");
+    let server = local(Some(&dir));
+    let spec = DatasetSpec::Census {
+        rows: 50_000,
+        seed: 12,
+    };
+    let request = PublishRequest::new(spec, Algo::Burel);
+    let line = request.to_json().compact();
+    let expired = call(&server, &with_deadline(&line, 0));
+    assert_eq!(
+        expired.get("code").and_then(Json::as_str),
+        Some("deadline"),
+        "{expired:?}"
+    );
+    let count = &reads(&request.handle())[0];
+    let answer = server.respond_line(count).0;
+    let resident_only = local(None);
+    call(&resident_only, &line);
+    assert_eq!(answer, resident_only.respond_line(count).0);
+    assert!(answer.contains("estimate"), "{answer}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
