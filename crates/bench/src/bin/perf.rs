@@ -22,8 +22,9 @@
 //! * `verify` — the independent conformance oracle's verification of a
 //!   BUREL and a perturbation snapshot versus the warm publish;
 //! * `catalog` — exact-count throughput through the aggregate catalog
-//!   versus the row scan, per publication form, after asserting both give
-//!   the same answer to every query;
+//!   versus the row scan, per publication form, and the BUREL estimate
+//!   (the served `exact: false` path) through the catalog versus the scan
+//!   view, after asserting both give the same answer to every query;
 //! * `obs` — what request timing costs: the warm count workload replayed
 //!   through [`LocalServer::respond_line`] on timed and `obs: false`
 //!   servers, alternating in short blocks.
@@ -506,7 +507,8 @@ fn workload(table: &Table, qi: &[usize], num_queries: usize) -> Vec<AggQuery> {
 /// The `catalog` section at one dataset size: exact-count throughput over
 /// one workload through `PublishedAnswerer::exact` (catalog) versus
 /// `exact_scan` (row scan), for an EC-grouped BUREL catalog and a
-/// block-grouped Anatomy catalog. Bit-identity is asserted before timing.
+/// block-grouped Anatomy catalog, plus `estimate` versus `estimate_scan`
+/// for the BUREL one. Bit-identity is asserted before timing.
 fn measure_catalog(
     table: &Arc<Table>,
     qi: &[usize],
@@ -525,7 +527,21 @@ fn measure_catalog(
         ),
         ("anatomy", PublishedAnswerer::anatomy(Arc::clone(table), SA)),
     ];
+    let qps = |path: &dyn Fn(&AggQuery) -> f64| -> Vec<f64> {
+        sample_secs(k, || {
+            std::hint::black_box(workload.iter().map(path).sum::<f64>())
+        })
+        .iter()
+        .map(|s| workload.len() as f64 / s.max(1e-12))
+        .collect()
+    };
     for (algo, answerer) in &answerers {
+        let estimate = |q: &AggQuery| answerer.estimate(q).expect("estimates cannot fail here");
+        let estimate_scan = |q: &AggQuery| {
+            answerer
+                .estimate_scan(q)
+                .expect("estimates cannot fail here")
+        };
         // A fast wrong answer must fail the harness before it is timed.
         for q in &workload {
             assert_eq!(
@@ -533,26 +549,28 @@ fn measure_catalog(
                 answerer.exact_scan(q),
                 "catalog diverged from scan for {algo}"
             );
+            assert_eq!(
+                estimate(q).to_bits(),
+                estimate_scan(q).to_bits(),
+                "catalog estimate diverged from scan for {algo}"
+            );
         }
-        let qps = |path: &dyn Fn(&AggQuery) -> u64| -> Vec<f64> {
-            sample_secs(k, || {
-                workload
-                    .iter()
-                    .fold(0u64, |acc, q| acc.wrapping_add(path(q)))
-            })
-            .iter()
-            .map(|s| workload.len() as f64 / s.max(1e-12))
-            .collect()
-        };
         let params = [
             ("rows", num(table.num_rows())),
             ("algo", Json::Str((*algo).into())),
             ("queries", num(workload.len())),
         ];
-        let scan = qps(&|q| answerer.exact_scan(q));
-        let catalog = qps(&|q| answerer.exact(q));
+        let scan = qps(&|q| answerer.exact_scan(q) as f64);
+        let catalog = qps(&|q| answerer.exact(q) as f64);
         out.push(record("catalog", "scan", &params, "1/s", scan));
         out.push(record("catalog", "catalog", &params, "1/s", catalog));
+        // The served workload sends `exact: false`: time the EC estimate.
+        if *algo == "burel" {
+            let scan = qps(&estimate_scan);
+            let catalog = qps(&estimate);
+            out.push(record("catalog", "estimate_scan", &params, "1/s", scan));
+            out.push(record("catalog", "estimate", &params, "1/s", catalog));
+        }
     }
 }
 

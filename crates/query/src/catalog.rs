@@ -10,15 +10,20 @@
 //!   attributes this is the *published* box, which conservatively contains
 //!   the raw extent, so one extent table serves pruning for both exact
 //!   counts and estimates);
-//! * prefix counts of every covered attribute over that extent (per-group
-//!   SA histograms in cumulative form), so one straddling predicate — and
-//!   every surviving EC of a generalized estimate — resolves with two
-//!   loads and a subtraction, `O(1)`;
+//! * prefix counts of every covered attribute (per-group histograms in
+//!   cumulative form), so one straddling predicate — and every surviving
+//!   EC of a generalized estimate — resolves with two loads and a
+//!   subtraction, `O(1)`. Runs span the group's extent, except the SA's in
+//!   an EC catalog, which span the SA's whole domain so the estimate reads
+//!   them without clamping or an offset table;
 //!
 //! plus, per covered attribute, a global **prefix-sum** table over the
-//! attribute's domain (single-predicate queries answer in `O(1)`) and
-//! value→group **posting lists** (narrow predicates enumerate candidate
-//! groups without touching the rest).
+//! attribute's domain (single-predicate queries answer in `O(1)`) and two
+//! **interval bitsets** per domain value over the groups: `le[v]` holds the
+//! groups whose extent starts at or below `v`, `ge[v]` those whose extent
+//! ends at or above `v`. The groups overlapping `[a, b]` are the AND of
+//! `le[b]` and `ge[a]`, so a query's surviving groups are the AND of one
+//! pair per predicate, walked in ascending order with `trailing_zeros`.
 //!
 //! The planner ([`Catalog::plan`]) splits a query's predicates into the
 //! catalog-covered part — resolved from summaries — and a *residual* part
@@ -28,7 +33,10 @@
 //! float operations of [`GeneralizedView::estimate`],
 //! [`estimate_perturbed`] and [`estimate_anatomy`] — skipping only terms
 //! that are provably `+0.0` (adding `+0.0` to a non-negative total is a
-//! bitwise no-op) or groups the scan path itself skips.
+//! bitwise no-op) or groups the scan path itself skips. The generalized
+//! estimate's mask holds exactly the ECs that overlap every predicate —
+//! those the scan neither skips nor adds a `+0.0` term for — and each
+//! survivor's term is the scan's float sequence, in ascending EC order.
 //!
 //! [`GeneralizedView::estimate`]: crate::GeneralizedView::estimate
 //! [`estimate_perturbed`]: crate::estimate_perturbed
@@ -52,10 +60,10 @@ pub const CATALOG_VERSION: u32 = 1;
 /// enough that the group count stays far below the row count.
 pub const DEFAULT_BLOCK_ROWS: u32 = 256;
 
-/// Widest predicate (in domain cells) the planner will expand through
-/// posting lists when enumerating candidate groups; wider predicates fall
-/// back to testing every group's extent.
-const POSTING_FANOUT: u32 = 8;
+/// Widest predicate (in domain cells) the planner will select candidate
+/// groups by through the interval bitsets; when every predicate is wider,
+/// every group's extent is tested.
+const NARROW_CELLS: u32 = 8;
 
 /// Groups per unit of the parallel build. The split is fixed, and every
 /// unit's output is integers concatenated in group order, so a catalog is
@@ -84,7 +92,7 @@ pub enum GroupingSpec {
 /// The persistable description of a [`Catalog`]: the derivation version,
 /// the grouping, and the covered attributes (a cross-check against the
 /// rebuilt catalog). Everything heavy — extents, per-group prefix counts,
-/// posting lists, prefix sums — is rebuilt deterministically on restore.
+/// interval bitsets, prefix sums — is rebuilt deterministically on restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatalogSpec {
     /// The [`CATALOG_VERSION`] the catalog was derived under.
@@ -112,8 +120,9 @@ pub struct CatalogPlan {
 /// the `O(1)` prefix-sum path answers without visiting groups at all).
 /// The default is a set of detached counters — recording is always on,
 /// but nobody reads them unless the server wires in handles from its
-/// metrics registry. Groups the posting lists prune *before* the extent
-/// check are never classified (they were never candidates).
+/// metrics registry. Groups the interval bitsets prune *before* the
+/// extent check of an exact count are never classified (they were never
+/// candidates); the generalized estimate classifies every EC.
 #[derive(Debug, Clone, Default)]
 pub struct CatalogStats {
     /// Candidate groups skipped because a covered predicate was disjoint
@@ -170,13 +179,105 @@ struct AltSaOverlay {
     hists: Vec<Vec<(u32, u32)>>,
 }
 
-/// One unit of the parallel build: extents, prefix-count runs and run
-/// offsets (relative to `counts`) for consecutive groups.
+/// One unit of the parallel build, for consecutive groups: extents,
+/// extent-relative prefix-count runs, and the whole-domain runs of the
+/// attribute [`whole_run`] names.
 #[derive(Debug, Default)]
 struct BuiltGroups {
     extents: Vec<(u32, u32)>,
     counts: Vec<u32>,
-    offsets: Vec<usize>,
+    whole: Vec<u32>,
+}
+
+/// One covered attribute's interval bitsets over the groups, `words =
+/// ⌈groups / 64⌉` `u64`s per domain value: row `v` of `le` holds the
+/// non-empty groups whose extent has `lo ≤ v`, row `v` of `ge` those whose
+/// extent has `hi ≥ v`. Built from one bit per group and one prefix-OR
+/// (suffix-OR) sweep, `O(groups + card · words)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct IntervalBits {
+    card: usize,
+    words: usize,
+    le: Vec<u64>,
+    ge: Vec<u64>,
+}
+
+impl IntervalBits {
+    /// Builds the bitsets from every group's extent, in group order. An
+    /// empty group's extent `(u32::MAX, 0)` joins no set. Extents lie in
+    /// `0..card`, as every code and published box does.
+    fn build(extents: impl Iterator<Item = (u32, u32)>, groups: usize, card: u32) -> Self {
+        let (card, words) = (card as usize, groups.div_ceil(64));
+        let mut le = vec![0u64; card * words];
+        let mut ge = vec![0u64; card * words];
+        for (g, (lo, hi)) in extents.enumerate() {
+            if lo > hi {
+                continue;
+            }
+            let bit = 1u64 << (g % 64);
+            le[lo as usize * words + g / 64] |= bit;
+            ge[(hi as usize).min(card - 1) * words + g / 64] |= bit;
+        }
+        for v in 1..card {
+            let (below, row) = le.split_at_mut(v * words);
+            for (w, &prev) in row[..words].iter_mut().zip(&below[(v - 1) * words..]) {
+                *w |= prev;
+            }
+        }
+        for v in (1..card).rev() {
+            let (above, row) = ge.split_at_mut(v * words);
+            for (w, &next) in above[(v - 1) * words..].iter_mut().zip(&row[..words]) {
+                *w |= next;
+            }
+        }
+        IntervalBits {
+            card,
+            words,
+            le,
+            ge,
+        }
+    }
+
+    /// ANDs the groups overlapping `[lo, hi]` into `mask`: `le[min(hi,
+    /// card - 1)] & ge[lo]`, and none when `lo ≥ card`.
+    fn restrict(&self, mask: &mut [u64], lo: u32, hi: u32) {
+        let (lo, w) = (lo as usize, self.words);
+        if lo >= self.card {
+            mask.fill(0);
+            return;
+        }
+        let hi = (hi as usize).min(self.card - 1);
+        let (le, ge) = (
+            &self.le[hi * w..(hi + 1) * w],
+            &self.ge[lo * w..(lo + 1) * w],
+        );
+        for ((m, &a), &b) in mask.iter_mut().zip(le).zip(ge) {
+            *m &= a & b;
+        }
+    }
+}
+
+/// A mask holding each of `groups` groups.
+fn full_mask(groups: usize) -> Vec<u64> {
+    let mut mask = vec![u64::MAX; groups.div_ceil(64)];
+    if groups % 64 != 0 {
+        mask[groups / 64] = (1 << (groups % 64)) - 1;
+    }
+    mask
+}
+
+/// The set bits of `mask`, ascending.
+fn ones(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 /// A per-artifact aggregate catalog. See the [module docs](self) for the
@@ -206,20 +307,20 @@ pub struct Catalog {
     /// attributes, the raw code extent otherwise. An empty group's extent
     /// is `(u32::MAX, 0)`.
     extents: Vec<(u32, u32)>,
-    /// Per-group prefix counts. For the pair `i = g * covered.len() + ci`
-    /// with extent `[lo, hi]`, `counts[offsets[i] + k]` is the number of
-    /// group `g`'s rows whose code of covered attribute `ci` is
-    /// `< lo + k`, for `k` in `0..=hi - lo + 1` (an empty group stores one
-    /// `0`). Memory: `Σ_g (w_g + 2)` entries per covered attribute, where
-    /// `w_g = hi - lo` is the width of group `g`'s extent — the same order
-    /// as the posting lists below, which hold `Σ_g (w_g + 1)`.
+    /// Per-group prefix counts. For the pair `i = g * covered.len() + ci`,
+    /// `counts[offsets[i] + k]` is the number of group `g`'s rows whose
+    /// code of covered attribute `ci` is `< origin + k`. A run spans the
+    /// group's extent `[lo, hi]` (origin `lo`, `hi - lo + 2` entries; an
+    /// empty group stores one `0`), except for the attribute
+    /// [`whole_run`] names, whose runs span its whole domain
+    /// (origin 0, `card + 1` entries) and come first, group after group,
+    /// so group `g`'s starts at `g * (card + 1)`.
     counts: Vec<u32>,
     /// Start of each (group, covered attribute) pair's run in `counts`,
     /// indexed like `extents`.
     offsets: Vec<usize>,
-    /// `postings[ci][v]`: ids of groups whose extent of covered attribute
-    /// `ci` contains value `v`, ascending.
-    postings: Vec<Vec<Vec<u32>>>,
+    /// `bits[ci]`: covered attribute `ci`'s interval bitsets.
+    bits: Vec<IntervalBits>,
     /// `prefix[ci][v]`: rows with code `< v` in covered attribute `ci`
     /// (length `card + 1`).
     prefix: Vec<Vec<u64>>,
@@ -480,39 +581,45 @@ impl Catalog {
             .iter()
             .map(|p| (table.column(p.attr), *p))
             .collect();
+        // A residual scan's predicates, refilled per scanned group.
+        let mut cols: Vec<(&[u32], RangePred)> = Vec::new();
         let mut total = 0u64;
-        'groups: for g in self.candidates(&covered) {
+        'groups: for g in ones(&self.candidates(&covered)) {
             let ext = self.group_extents(g);
-            let mut straddle: Vec<(usize, RangePred)> = Vec::new();
+            let (mut straddles, mut first) = (0, None);
             for &(ci, p) in &covered {
                 let (lo, hi) = ext[ci];
                 if p.hi < lo || p.lo > hi {
                     tally.disjoint += 1;
                     continue 'groups;
                 }
-                if !(p.lo <= lo && p.hi >= hi) {
-                    straddle.push((ci, p));
+                if !spans((lo, hi), &p) {
+                    straddles += 1;
+                    first = first.or(Some((ci, p)));
                 }
             }
-            total += match (straddle.as_slice(), res_cols.is_empty()) {
+            total += match (first, straddles, res_cols.is_empty()) {
                 // Every covered predicate spans the group: count it whole.
-                ([], true) => {
+                (None, _, true) => {
                     tally.full_cover += 1;
                     self.group_rows(g).len() as u64
                 }
                 // One straddling predicate: read its per-group prefix counts.
-                ([(ci, p)], true) => {
+                (Some((ci, p)), 1, true) => {
                     tally.straddle += 1;
-                    u64::from(self.range_count(g, *ci, p.lo, p.hi))
+                    u64::from(self.range_count(g, ci, p.lo, p.hi))
                 }
                 // Residual scan over this group's rows only.
                 _ => {
                     tally.residual_scan += 1;
-                    let cols: Vec<(&[u32], RangePred)> = straddle
-                        .iter()
-                        .map(|&(_, p)| (table.column(p.attr), p))
-                        .chain(res_cols.iter().copied())
-                        .collect();
+                    cols.clear();
+                    cols.extend(
+                        covered
+                            .iter()
+                            .filter(|&&(ci, p)| !spans(ext[ci], &p))
+                            .map(|&(_, p)| (table.column(p.attr), p)),
+                    );
+                    cols.extend(res_cols.iter().copied());
                     let mut c = 0u64;
                     'rows: for &r in self.group_rows(g) {
                         for (col, p) in &cols {
@@ -560,29 +667,27 @@ impl Catalog {
                 (pos, p)
             })
             .collect();
+        // The ECs overlapping every predicate: exactly those the scan
+        // neither `continue`s past (a disjoint QI predicate, frac = 0.0) nor
+        // adds frac × 0 = +0.0 for (a disjoint SA range).
         let sa_ci = self.qi_len;
-        let mut tally = PlanTally::default();
+        let sa = &query.sa_pred;
+        let mut mask = full_mask(self.num_groups());
+        self.bits[sa_ci].restrict(&mut mask, sa.lo, sa.hi);
+        for &(pos, p) in &positions {
+            self.bits[pos].restrict(&mut mask, p.lo, p.hi);
+        }
+        // The SA's whole-domain runs: `[lo, hi]` reads entries
+        // `min(lo, card)` and `min(hi, card - 1) + 1` of a survivor's run, no
+        // extent clamp needed. The mask is empty when `lo ≥ card`.
+        let card = self.cards[sa_ci];
+        let width = card as usize + 1;
+        let (sa_lo, sa_hi) = (sa.lo.min(card) as usize, sa.hi.min(card - 1) as usize + 1);
+        let mut survivors = 0u64;
         let mut total = 0.0;
-        'groups: for g in 0..self.num_groups() {
+        for g in ones(&mask) {
+            survivors += 1;
             let ext = self.group_extents(g);
-            for &(pos, p) in &positions {
-                let (lo, hi) = ext[pos];
-                if p.hi < lo || p.lo > hi {
-                    // The scan path computes frac = 0.0 and `continue`s.
-                    tally.disjoint += 1;
-                    continue 'groups;
-                }
-            }
-            let (slo, shi) = ext[sa_ci];
-            if query.sa_pred.hi < slo || query.sa_pred.lo > shi {
-                // The scan path adds frac × 0 = +0.0: skipping is bitwise
-                // equivalent.
-                tally.disjoint += 1;
-                continue;
-            }
-            // Every surviving group resolves by the per-group SA prefix
-            // counts below — a straddle in plan-classification terms.
-            tally.straddle += 1;
             let mut frac = 1.0;
             for &(pos, p) in &positions {
                 let (lo, hi) = ext[pos];
@@ -591,10 +696,17 @@ impl Catalog {
                 let ohi = hi.min(p.hi);
                 frac *= (ohi - olo + 1) as f64 / cells;
             }
-            let matched = self.range_count(g, sa_ci, query.sa_pred.lo, query.sa_pred.hi);
+            let run = &self.counts[g * width..(g + 1) * width];
+            let matched = run[sa_hi].saturating_sub(run[sa_lo]);
             total += frac * f64::from(matched);
         }
-        self.stats.flush(&tally);
+        // Every surviving EC resolves by its SA prefix counts — a straddle
+        // in plan-classification terms; every other EC was disjoint.
+        self.stats.flush(&PlanTally {
+            disjoint: self.num_groups() as u64 - survivors,
+            straddle: survivors,
+            ..PlanTally::default()
+        });
         total
     }
 
@@ -641,7 +753,7 @@ impl Catalog {
         let mut tally = PlanTally::default();
         let mut matched = 0u64;
         let mut counts = vec![0.0; overlay.m];
-        'groups: for g in self.candidates(&covered) {
+        'groups: for g in ones(&self.candidates(&covered)) {
             let ext = self.group_extents(g);
             let mut straddles = false;
             for &(ci, p) in &covered {
@@ -650,7 +762,7 @@ impl Catalog {
                     tally.disjoint += 1;
                     continue 'groups;
                 }
-                if !(p.lo <= lo && p.hi >= hi) {
+                if !spans((lo, hi), &p) {
                     straddles = true;
                 }
             }
@@ -689,30 +801,21 @@ impl Catalog {
         (matched, counts)
     }
 
-    /// Candidate groups for a set of covered predicates: the posting
-    /// lists of the narrowest predicate no wider than [`POSTING_FANOUT`]
-    /// cells, merged ascending; every group when no predicate is that
-    /// narrow. Ascending order is load-bearing for the estimate paths.
-    fn candidates(&self, covered: &[(usize, RangePred)]) -> Vec<usize> {
+    /// Candidate groups for a set of covered predicates, as a mask over
+    /// the groups: those overlapping the narrowest predicate no wider than
+    /// [`NARROW_CELLS`] cells, or every group when no predicate is that
+    /// narrow. [`ones`] walks it in ascending order, which the estimate
+    /// paths rely on.
+    fn candidates(&self, covered: &[(usize, RangePred)]) -> Vec<u64> {
+        let mut mask = full_mask(self.num_groups());
         let narrow = covered
             .iter()
-            .filter(|(_, p)| p.hi - p.lo < POSTING_FANOUT)
+            .filter(|(_, p)| p.hi - p.lo < NARROW_CELLS)
             .min_by_key(|(_, p)| p.hi - p.lo);
-        match narrow {
-            Some(&(ci, p)) => {
-                let card = self.cards[ci];
-                if p.lo >= card {
-                    return Vec::new();
-                }
-                let mut ids: Vec<usize> = (p.lo..=p.hi.min(card - 1))
-                    .flat_map(|v| self.postings[ci][v as usize].iter().map(|&g| g as usize))
-                    .collect();
-                ids.sort_unstable();
-                ids.dedup();
-                ids
-            }
-            None => (0..self.num_groups()).collect(),
+        if let Some(&(ci, p)) = narrow {
+            self.bits[ci].restrict(&mut mask, p.lo, p.hi);
         }
+        mask
     }
 
     /// Group `g`'s extents, one per covered attribute.
@@ -731,8 +834,13 @@ impl Catalog {
         if lo > hi {
             return 0;
         }
-        let base = self.offsets[i];
-        self.counts[base + (hi - elo) as usize + 1] - self.counts[base + (lo - elo) as usize]
+        let origin = if whole_run(self.block_rows, self.qi_len) == Some(ci) {
+            0
+        } else {
+            elo
+        };
+        let run = &self.counts[self.offsets[i]..];
+        run[(hi - origin) as usize + 1] - run[(lo - origin) as usize]
     }
 
     /// Index of `attr` within the covered set, if covered.
@@ -762,8 +870,9 @@ impl Catalog {
     /// categorical QI's extent widens to the published box, exactly as
     /// [`crate::GeneralizedView`] derives it) and its prefix-count run.
     /// Groups are built in [`BUILD_CHUNK`] units across the pool and
-    /// concatenated in group order; the posting lists and the global
-    /// prefix sums then follow from the extents and runs alone.
+    /// concatenated in group order; the run offsets, the interval bitsets
+    /// and the global prefix sums then follow from the extents and runs
+    /// alone.
     fn assemble(
         table: &Table,
         covered: Vec<usize>,
@@ -788,33 +897,36 @@ impl Catalog {
                 _ => None,
             })
             .collect();
+        let whole = whole_run(block_rows, qi_len);
+        let whole_width = whole.map_or(0, |ci| cards[ci] as usize + 1);
         let num_groups = starts.len() - 1;
         let units = mini_rayon::par_chunks_map(&starts[..num_groups], BUILD_CHUNK, |u, unit| {
             let mut out = BuiltGroups::default();
             let mut codes: Vec<u32> = Vec::new();
             for g in u * BUILD_CHUNK..u * BUILD_CHUNK + unit.len() {
                 let group = &rows[starts[g]..starts[g + 1]];
-                for (col, widen) in cols.iter().zip(&widen) {
+                for (ci, (col, widen)) in cols.iter().zip(&widen).enumerate() {
                     codes.clear();
                     codes.extend(group.iter().map(|&r| col[r as usize]));
                     let (mut lo, mut hi) = codes
                         .iter()
                         .fold((u32::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-                    let base = out.counts.len();
-                    out.offsets.push(base);
-                    if lo > hi {
-                        out.extents.push((lo, hi));
-                        out.counts.push(0); // empty group
-                        continue;
-                    }
-                    if let Some(h) = widen {
-                        (lo, hi) = h.leaf_range(h.lca_of_leaves(lo, hi));
+                    if lo <= hi {
+                        if let Some(h) = widen {
+                            (lo, hi) = h.leaf_range(h.lca_of_leaves(lo, hi));
+                        }
                     }
                     out.extents.push((lo, hi));
-                    out.counts.resize(base + (hi - lo) as usize + 2, 0);
-                    let run = &mut out.counts[base..];
+                    let (runs, origin, len) = if whole == Some(ci) {
+                        (&mut out.whole, 0, whole_width)
+                    } else {
+                        (&mut out.counts, lo, extent_run_len(lo, hi))
+                    };
+                    let base = runs.len();
+                    runs.resize(base + len, 0);
+                    let run = &mut runs[base..];
                     for &v in &codes {
-                        run[(v - lo) as usize + 1] += 1;
+                        run[(v - origin) as usize + 1] += 1;
                     }
                     for k in 1..run.len() {
                         run[k] += run[k - 1];
@@ -824,18 +936,32 @@ impl Catalog {
             out
         });
         let mut extents = Vec::with_capacity(num_groups * stride);
-        let mut counts = Vec::with_capacity(units.iter().map(|u| u.counts.len()).sum());
-        let mut offsets = Vec::with_capacity(num_groups * stride);
+        let mut counts =
+            Vec::with_capacity(units.iter().map(|u| u.whole.len() + u.counts.len()).sum());
+        for unit in &units {
+            counts.extend(&unit.whole);
+        }
         for unit in units {
-            let base = counts.len();
             extents.extend(unit.extents);
-            offsets.extend(unit.offsets.iter().map(|&o| base + o));
             counts.extend(unit.counts);
         }
-        let mut postings = Vec::with_capacity(stride);
+        // Runs follow each other in pair order after the whole-domain ones,
+        // so every offset follows from the extents.
+        let mut offsets = Vec::with_capacity(num_groups * stride);
+        let mut next = num_groups * whole_width;
+        for (i, &(lo, hi)) in extents.iter().enumerate() {
+            if whole == Some(i % stride) {
+                offsets.push(i / stride * whole_width);
+            } else {
+                offsets.push(next);
+                next += extent_run_len(lo, hi);
+            }
+        }
+        let mut bits = Vec::with_capacity(stride);
         let mut prefix = Vec::with_capacity(stride);
         for (ci, &card) in cards.iter().enumerate() {
-            let mut lists: Vec<Vec<u32>> = vec![Vec::new(); card as usize];
+            let group_extents = extents.iter().skip(ci).step_by(stride).copied();
+            bits.push(IntervalBits::build(group_extents, num_groups, card));
             let mut sums = vec![0u64; card as usize + 1];
             for g in 0..num_groups {
                 let i = g * stride + ci;
@@ -844,17 +970,16 @@ impl Catalog {
                     continue; // empty group
                 }
                 // The run's differences are the group's histogram.
+                let origin = if whole == Some(ci) { 0 } else { lo };
                 let run = &counts[offsets[i]..];
                 for v in lo..=hi.min(card - 1) {
-                    lists[v as usize].push(g as u32);
-                    let k = (v - lo) as usize;
+                    let k = (v - origin) as usize;
                     sums[v as usize + 1] += u64::from(run[k + 1] - run[k]);
                 }
             }
             for v in 0..card as usize {
                 sums[v + 1] += sums[v];
             }
-            postings.push(lists);
             prefix.push(sums);
         }
         Catalog {
@@ -867,13 +992,35 @@ impl Catalog {
             extents,
             counts,
             offsets,
-            postings,
+            bits,
             prefix,
             qi_len,
             alt_sa: None,
             stats: CatalogStats::default(),
         }
     }
+}
+
+/// Entries in the prefix-count run over extent `[lo, hi]`: `hi - lo + 2`,
+/// or one `0` for an empty group.
+fn extent_run_len(lo: u32, hi: u32) -> usize {
+    if lo > hi {
+        1
+    } else {
+        (hi - lo) as usize + 2
+    }
+}
+
+/// Whether predicate `p` covers the whole extent `(lo, hi)`.
+fn spans((lo, hi): (u32, u32), p: &RangePred) -> bool {
+    p.lo <= lo && p.hi >= hi
+}
+
+/// The covered attribute whose prefix-count runs span its whole domain:
+/// the SA (last covered) of an EC-grouped catalog, which every estimate
+/// reads; none for blocks.
+fn whole_run(block_rows: Option<u32>, qi_len: usize) -> Option<usize> {
+    block_rows.is_none().then_some(qi_len)
 }
 
 /// The row permutation block grouping cuts from: rows sorted (stably) by
@@ -1071,13 +1218,136 @@ mod tests {
             assert_eq!((&a.rows, &a.starts), (&b.rows, &b.starts));
             assert_eq!(a.extents, b.extents);
             assert_eq!((&a.counts, &a.offsets), (&b.counts, &b.offsets));
-            assert_eq!((&a.postings, &a.prefix), (&b.postings, &b.prefix));
+            assert_eq!((&a.bits, &a.prefix), (&b.bits, &b.prefix));
             assert_eq!(
                 a.alt_sa.as_ref().map(|o| &o.hists),
                 b.alt_sa.as_ref().map(|o| &o.hists)
             );
         }
         assert_eq!(answers(&serial), answers(&parallel));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Random extents, empty groups included, at group counts on both
+        /// sides of the 64-bit word boundaries: the groups the bitsets
+        /// report overlapping `[a, b]` are exactly those a brute-force
+        /// extent test finds, for every range — ends at or past the domain,
+        /// single cells and the whole domain included.
+        #[test]
+        fn interval_bits_match_brute_force_overlap(
+            size in 0usize..5,
+            card in 1u32..20,
+            raw in proptest::collection::vec((0u32..6, 0u32..64, 0u32..64), 129..130),
+        ) {
+            let groups = [1, 63, 64, 65, 129][size];
+            let extents: Vec<(u32, u32)> = raw[..groups]
+                .iter()
+                .map(|&(kind, a, b)| {
+                    if kind == 0 {
+                        return (u32::MAX, 0); // an empty group
+                    }
+                    let lo = a % card;
+                    (lo, lo + b % (card - lo))
+                })
+                .collect();
+            let bits = IntervalBits::build(extents.iter().copied(), groups, card);
+            for a in 0..card + 3 {
+                for b in a..card + 3 {
+                    let want: Vec<usize> = (0..groups)
+                        .filter(|&g| {
+                            let (lo, hi) = extents[g];
+                            lo <= hi && lo <= b && hi >= a
+                        })
+                        .collect();
+                    let mut mask = full_mask(groups);
+                    bits.restrict(&mut mask, a, b);
+                    proptest::prop_assert_eq!(ones(&mask).collect::<Vec<_>>(), want);
+                }
+            }
+        }
+    }
+
+    /// The groups a catalog walks are the brute-force overlap sets: an
+    /// estimate's survivors (its `straddle` tally, the rest `disjoint`)
+    /// are the ECs whose extents overlap every predicate, and an exact
+    /// count's candidates are the groups overlapping its narrowest one.
+    #[test]
+    fn interval_bits_survivors_match_brute_force() {
+        let t = table();
+        let p = burel(&t, &[0, 1], 2, &BurelConfig::new(4.0).with_seed(1)).unwrap();
+        let mut catalog = Catalog::for_partition(&t, &p);
+        let mut queries = generate_workload(
+            &t,
+            &WorkloadConfig {
+                qi_pool: vec![0, 1],
+                sa: 2,
+                lambda: 2,
+                theta: 0.15,
+                num_queries: 40,
+                seed: 25,
+            },
+        );
+        // Past the domain (cards 16 and 8), single cells, whole domains.
+        for (qi, sa) in [
+            ((16, 20), (0, 7)),
+            ((3, 40), (8, 9)),
+            ((5, 5), (2, 2)),
+            ((0, 15), (0, 7)),
+            ((0, u32::MAX), (7, u32::MAX)),
+        ] {
+            queries.push(AggQuery {
+                qi_preds: vec![RangePred {
+                    attr: 1,
+                    lo: qi.0,
+                    hi: qi.1,
+                }],
+                sa_pred: RangePred {
+                    attr: 2,
+                    lo: sa.0,
+                    hi: sa.1,
+                },
+            });
+        }
+        let groups = catalog.num_groups();
+        let overlaps = |g: usize, preds: &[RangePred]| {
+            preds.iter().all(|p| {
+                let (lo, hi) = catalog.group_extents(g)[catalog.covered_index(p.attr).unwrap()];
+                lo <= p.hi && hi >= p.lo
+            })
+        };
+        let mut survivors = Vec::new();
+        for q in &queries {
+            let all: Vec<RangePred> = q.qi_preds.iter().chain([&q.sa_pred]).copied().collect();
+            survivors.push((0..groups).filter(|&g| overlaps(g, &all)).count() as u64);
+            for p in &all {
+                let ci = catalog.covered_index(p.attr).unwrap();
+                let want: Vec<usize> = (0..groups).filter(|&g| overlaps(g, &[*p])).collect();
+                let narrow = RangePred {
+                    hi: p.hi.min(p.lo + 7),
+                    ..*p
+                };
+                let want_narrow: Vec<usize> =
+                    (0..groups).filter(|&g| overlaps(g, &[narrow])).collect();
+                assert_eq!(
+                    ones(&catalog.candidates(&[(ci, narrow)])).collect::<Vec<_>>(),
+                    want_narrow
+                );
+                let mut mask = full_mask(groups);
+                catalog.bits[ci].restrict(&mut mask, p.lo, p.hi);
+                assert_eq!(ones(&mask).collect::<Vec<_>>(), want);
+            }
+        }
+        let stats = CatalogStats::default();
+        catalog.set_stats(stats.clone());
+        for (q, &want) in queries.iter().zip(&survivors) {
+            let before = (stats.straddle.get(), stats.disjoint.get());
+            catalog.estimate_generalized(q);
+            assert_eq!(stats.straddle.get() - before.0, want);
+            assert_eq!(stats.disjoint.get() - before.1, groups as u64 - want);
+        }
+        assert!(survivors.contains(&0) && survivors.iter().any(|&s| s > 0));
     }
 
     #[test]

@@ -51,8 +51,8 @@ use crate::registry::{Dataset, DatasetSpec, Registry};
 use crate::resident::{Done, Found, Lead, Resident};
 use crate::result_cache::{cache_key, ResultCache, DEFAULT_RESULT_CACHE};
 use crate::wire::{
-    error_response, ok_response, retryable_error, CountRequest, PublishRequest, ERR_DEADLINE,
-    ERR_DEGRADED, ERR_OVERLOADED,
+    error_response, ok_response, retryable_error, CountRequest, PublishRequest, Refusal,
+    ERR_DEADLINE, ERR_DEGRADED, ERR_OVERLOADED,
 };
 use betalike_faults::{RealVfs, Vfs};
 use betalike_microdata::json::Json;
@@ -686,7 +686,7 @@ fn respond(state: &Arc<State>, text: &str) -> (Json, bool) {
     });
     let mut response = match result {
         Ok(Ok(response)) => response,
-        Ok(Err(message)) => error_response(&message),
+        Ok(Err(refusal)) => refusal.to_json(),
         Err(_) => {
             obs.internal_errors.inc();
             error_response("internal error while handling the request")
@@ -703,7 +703,7 @@ fn dispatch(
     op: &str,
     doc: &Json,
     marks: &StageMarks<'_>,
-) -> Result<Json, String> {
+) -> Result<Json, Refusal> {
     match op {
         "ping" => Ok(ok_response(vec![("pong".into(), Json::Bool(true))])),
         "datasets" => {
@@ -724,7 +724,7 @@ fn dispatch(
             }
             Ok(ok_response(members))
         }
-        "publish" => publish(state, doc, marks),
+        "publish" => Ok(publish(state, doc, marks)?),
         "count" => count(state, doc, marks),
         "audit" => {
             let handle = doc
@@ -738,13 +738,14 @@ fn dispatch(
             }
             Ok(ok_response(members))
         }
-        "verify" => verify(state, doc),
+        "verify" => Ok(verify(state, doc)?),
         "health" => Ok(health(state)),
         "metrics" => Ok(metrics(state)),
         other => Err(format!(
             "unknown op `{other}` (expected ping | datasets | publish | count | audit | verify \
              | health | metrics | shutdown)"
-        )),
+        )
+        .into()),
     }
 }
 
@@ -1101,7 +1102,7 @@ fn verify(state: &Arc<State>, doc: &Json) -> Result<Json, String> {
     Ok(ok_response(members))
 }
 
-fn count(state: &Arc<State>, doc: &Json, marks: &StageMarks<'_>) -> Result<Json, String> {
+fn count(state: &Arc<State>, doc: &Json, marks: &StageMarks<'_>) -> Result<Json, Refusal> {
     let request = CountRequest::from_json(doc)?;
     let artifact = marks.time(Stage::CountLookup, || lookup(state, &request.handle))?;
     validate_preds(&artifact, &request)?;

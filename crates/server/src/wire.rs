@@ -197,6 +197,57 @@ impl PublishRequest {
     }
 }
 
+/// Most QI predicates one `count` request may carry. Every predicate costs
+/// the catalog a pass over its group mask and a factor per surviving group,
+/// so an unbounded list buys unbounded worker time; a schema has at most a
+/// few dozen attributes, and this leaves room for long same-attribute
+/// conjunctions on each of them.
+pub const MAX_PREDS: usize = 256;
+
+/// Why a request document was refused: the message, plus a stable *fatal*
+/// `code` when the refusal has one ([`ERR_BAD_REQUEST`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Refusal {
+    /// Machine-readable code, if the refusal carries one.
+    pub code: Option<&'static str>,
+    /// Human-readable message.
+    pub message: String,
+}
+
+impl Refusal {
+    /// The error response: [`fatal_coded_error`] with a code,
+    /// [`error_response`] without one.
+    pub fn to_json(&self) -> Json {
+        match self.code {
+            Some(code) => fatal_coded_error(code, &self.message),
+            None => error_response(&self.message),
+        }
+    }
+}
+
+impl From<String> for Refusal {
+    fn from(message: String) -> Self {
+        Refusal {
+            code: None,
+            message,
+        }
+    }
+}
+
+impl From<&str> for Refusal {
+    fn from(message: &str) -> Self {
+        message.to_string().into()
+    }
+}
+
+/// Callers that report errors as text keep using `?` on
+/// [`CountRequest::from_json`]: the message, without the code.
+impl From<Refusal> for String {
+    fn from(refusal: Refusal) -> Self {
+        refusal.message
+    }
+}
+
 /// One count request against a published handle: QI range predicates plus
 /// the SA range (the SA attribute is implied by the handle's dataset).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,8 +298,10 @@ impl CountRequest {
     ///
     /// # Errors
     ///
-    /// Returns a wire-level message on any missing or malformed field.
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
+    /// Returns a wire-level message on any missing or malformed field, and
+    /// an [`ERR_BAD_REQUEST`] refusal for more than [`MAX_PREDS`]
+    /// predicates.
+    pub fn from_json(doc: &Json) -> Result<Self, Refusal> {
         let handle = doc
             .get("handle")
             .and_then(Json::as_str)
@@ -258,12 +311,21 @@ impl CountRequest {
             v.and_then(Json::as_u32)
                 .ok_or(format!("{what} must be a u32 code"))
         };
-        let mut qi_preds = Vec::new();
-        for p in doc
+        let preds = doc
             .get("preds")
             .and_then(Json::as_arr)
-            .ok_or("count needs an array `preds`")?
-        {
+            .ok_or("count needs an array `preds`")?;
+        if preds.len() > MAX_PREDS {
+            return Err(Refusal {
+                code: Some(ERR_BAD_REQUEST),
+                message: format!(
+                    "count has {} predicates; at most {MAX_PREDS} (MAX_PREDS) are accepted",
+                    preds.len()
+                ),
+            });
+        }
+        let mut qi_preds = Vec::with_capacity(preds.len());
+        for p in preds {
             let attr = p
                 .get("attr")
                 .and_then(Json::as_usize)
@@ -273,7 +335,7 @@ impl CountRequest {
                 code(p.get("hi"), "pred `hi`")?,
             );
             if lo > hi {
-                return Err(format!("pred on attr {attr} has lo {lo} > hi {hi}"));
+                return Err(format!("pred on attr {attr} has lo {lo} > hi {hi}").into());
             }
             qi_preds.push(RangePred { attr, lo, hi });
         }
@@ -283,7 +345,7 @@ impl CountRequest {
             code(sa.get("hi"), "`sa.hi`")?,
         );
         if sa_lo > sa_hi {
-            return Err(format!("SA range has lo {sa_lo} > hi {sa_hi}"));
+            return Err(format!("SA range has lo {sa_lo} > hi {sa_hi}").into());
         }
         let exact = match doc.get("exact") {
             None => false,
@@ -333,6 +395,9 @@ pub const ERR_DEADLINE: &str = "deadline";
 /// closes the connection — retrying the same oversized line cannot
 /// succeed, so the error carries a `code` but no `retryable: true`.
 pub const ERR_TOO_LARGE: &str = "too_large";
+/// *Fatal* error code: a well-formed request beyond a documented protocol
+/// bound ([`MAX_PREDS`]). Resending it as written cannot succeed.
+pub const ERR_BAD_REQUEST: &str = "bad_request";
 
 /// A *retryable* error response: `ok: false` plus a stable machine `code`
 /// and `retryable: true`. Clients back off and retry these; plain
@@ -347,7 +412,7 @@ pub fn retryable_error(code: &str, message: &str) -> Json {
 }
 
 /// A *fatal* error response that still carries a stable machine `code`
-/// ([`ERR_TOO_LARGE`]): clients can classify the refusal without scraping
+/// ([`ERR_TOO_LARGE`], [`ERR_BAD_REQUEST`]): clients can classify the refusal without scraping
 /// the message, but must not retry the request as written.
 pub fn fatal_coded_error(code: &str, message: &str) -> Json {
     Json::Obj(vec![
@@ -437,7 +502,10 @@ mod tests {
             r#"{"op":"count","handle":"h","preds":[{"attr":0,"lo":5,"hi":1}],"sa":{"lo":0,"hi":1}}"#,
         )
         .unwrap();
-        assert!(CountRequest::from_json(&bad).unwrap_err().contains("lo 5"));
+        assert!(CountRequest::from_json(&bad)
+            .unwrap_err()
+            .message
+            .contains("lo 5"));
     }
 
     #[test]

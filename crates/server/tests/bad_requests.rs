@@ -129,3 +129,39 @@ fn duplicate_keys_resolve_to_their_first_occurrence() {
     assert!(error.contains("pub-missing"), "{error}");
     assert_pings(&local);
 }
+
+/// A `count` carries at most `MAX_PREDS` predicates: the limit answers,
+/// one more is a fatal `bad_request` that names the limit, checked before
+/// the handle is looked up.
+#[test]
+fn predicate_count_is_bounded_by_max_preds() {
+    use betalike_server::wire::MAX_PREDS;
+
+    let local = local();
+    let (published, _) =
+        local.respond_line(r#"{"op":"publish","dataset":"census","rows":500,"algo":"burel"}"#);
+    let handle = Json::parse(&published)
+        .ok()
+        .and_then(|doc| doc.get("handle").and_then(Json::as_str).map(str::to_string))
+        .unwrap_or_else(|| panic!("publish failed: {published}"));
+    let count = |handle: &str, n: usize| {
+        let preds: Vec<String> = (0..n)
+            .map(|i| format!(r#"{{"attr":{},"lo":0,"hi":200}}"#, i % 3))
+            .collect();
+        format!(
+            r#"{{"op":"count","handle":"{handle}","preds":[{}],"sa":{{"lo":0,"hi":49}},"exact":true}}"#,
+            preds.join(",")
+        )
+    };
+    let (at_limit, _) = local.respond_line(&count(&handle, MAX_PREDS));
+    assert!(at_limit.contains("\"exact\":500"), "{at_limit}");
+    for handle in [handle.as_str(), "pub-missing"] {
+        let line = count(handle, MAX_PREDS + 1);
+        let error = error_of(&local, &line);
+        assert!(error.contains(&MAX_PREDS.to_string()), "{error}");
+        let doc = Json::parse(&local.respond_line(&line).0).expect("one parseable line");
+        assert_eq!(doc.get("code").and_then(Json::as_str), Some("bad_request"));
+        assert!(doc.get("retryable").is_none(), "bad_request is fatal");
+    }
+    assert_pings(&local);
+}

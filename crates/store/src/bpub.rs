@@ -33,8 +33,8 @@
 //! bit-identically.
 //!
 //! The `catalog` section follows the same philosophy: only the grouping
-//! *descriptor* is stored; extents, per-group prefix counts, posting
-//! lists and prefix sums are rebuilt deterministically. Files written
+//! *descriptor* is stored; extents, per-group prefix counts, interval
+//! bitsets and prefix sums are rebuilt deterministically. Files written
 //! before the section existed simply lack it, and readers rebuild the
 //! default catalog; readers seeing a catalog *version* they do not derive
 //! also rebuild (rebuild-on-version-skew, `DESIGN.md` §13), whereas a
