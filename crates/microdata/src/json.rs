@@ -288,7 +288,10 @@ fn format_number(n: f64) -> String {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal (quotes included), exactly as
+/// [`Json::compact`] renders a [`Json::Str`]. For callers that splice a
+/// member onto a document they already encoded.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

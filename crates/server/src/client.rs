@@ -7,12 +7,19 @@
 //! [`ClientError::Retryable`], and [`with_retries`] re-dials with a
 //! deterministic jittered backoff ([`betalike_faults::RetryPolicy`]) until
 //! the call succeeds, a fatal error appears, or attempts run out.
+//!
+//! One write per request line: [`Client::call_raw`] hands its line and the
+//! terminating `\n` to the socket in a single `write_all`, as
+//! [`Client::pipeline_raw`] does with a whole batch. On a `TCP_NODELAY`
+//! socket each write leaves as its own segment, so writing the newline
+//! apart made every request two segments, and the server woke for a line
+//! it could not frame yet.
 
 use crate::wire::{CountRequest, PublishRequest};
 use betalike_faults::{RetryPolicy, Sleeper};
 use betalike_microdata::json::Json;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -143,42 +150,7 @@ impl Client {
     /// any buffered response so the caller sees the refusal's code, and
     /// otherwise surfaces as `UnexpectedEof` like every other disconnect.
     pub fn call_raw(&mut self, line: &str) -> std::io::Result<String> {
-        let sent = self
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush());
-        if let Err(e) = sent {
-            use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
-            if !matches!(e.kind(), BrokenPipe | ConnectionReset | ConnectionAborted) {
-                return Err(e);
-            }
-            let mut response = String::new();
-            if let Ok(n) = self.reader.read_line(&mut response) {
-                if n > 0 && response.ends_with('\n') {
-                    return Ok(response.trim_end_matches(['\n', '\r']).to_string());
-                }
-            }
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                format!("server closed the connection before the request was sent ({e})"),
-            ));
-        }
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection before responding",
-            ));
-        }
-        if !response.ends_with('\n') {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                format!("server closed the connection mid-response ({n} bytes of a partial line)"),
-            ));
-        }
-        Ok(response.trim_end_matches(['\n', '\r']).to_string())
+        call_on(&mut self.reader, &mut self.writer, line)
     }
 
     /// *Pipelines* a batch: writes every request line up front, then
@@ -197,36 +169,7 @@ impl Client {
     /// before all responses arrived is `UnexpectedEof` (responses that
     /// did arrive are lost to the caller — pipelining is all-or-nothing).
     pub fn pipeline_raw(&mut self, lines: &[String]) -> std::io::Result<Vec<String>> {
-        let mut batch = String::new();
-        for line in lines {
-            batch.push_str(line);
-            batch.push('\n');
-        }
-        self.writer.write_all(batch.as_bytes())?;
-        self.writer.flush()?;
-        let mut responses = Vec::with_capacity(lines.len());
-        for _ in 0..lines.len() {
-            let mut response = String::new();
-            let n = self.reader.read_line(&mut response)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!(
-                        "server closed the connection after {} of {} pipelined responses",
-                        responses.len(),
-                        lines.len()
-                    ),
-                ));
-            }
-            if !response.ends_with('\n') {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection mid-response",
-                ));
-            }
-            responses.push(response.trim_end_matches(['\n', '\r']).to_string());
-        }
-        Ok(responses)
+        pipeline_on(&mut self.reader, &mut self.writer, lines)
     }
 
     /// Sends one request document and returns the parsed `ok: true`
@@ -427,6 +370,87 @@ impl Client {
     }
 }
 
+/// Writes `lines`, each with its `\n`, to `out` in one `write_all`,
+/// then flushes.
+fn send_lines<W: Write, S: AsRef<str>>(out: &mut W, lines: &[S]) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(lines.iter().map(|l| l.as_ref().len() + 1).sum());
+    for line in lines {
+        buf.extend_from_slice(line.as_ref().as_bytes());
+        buf.push(b'\n');
+    }
+    out.write_all(&buf)?;
+    out.flush()
+}
+
+fn disconnected(message: String) -> std::io::Error {
+    std::io::Error::new(ErrorKind::UnexpectedEof, message)
+}
+
+/// Reads one response line and returns it without its line ending. A
+/// close before the line ends is `UnexpectedEof`.
+fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<String> {
+    let mut response = String::new();
+    let n = reader.read_line(&mut response)?;
+    if n == 0 {
+        return Err(disconnected(
+            "server closed the connection before responding".into(),
+        ));
+    }
+    if !response.ends_with('\n') {
+        return Err(disconnected(format!(
+            "server closed the connection mid-response ({n} bytes of a partial line)"
+        )));
+    }
+    response.truncate(response.trim_end_matches(['\n', '\r']).len());
+    Ok(response)
+}
+
+/// [`Client::call_raw`] over any transport.
+fn call_on<R: BufRead, W: Write>(
+    reader: &mut R,
+    writer: &mut W,
+    line: &str,
+) -> std::io::Result<String> {
+    if let Err(e) = send_lines(writer, &[line]) {
+        use ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
+        if !matches!(e.kind(), BrokenPipe | ConnectionReset | ConnectionAborted) {
+            return Err(e);
+        }
+        // The peer hung up while we wrote; its refusal line may be
+        // buffered already.
+        return read_response(reader).map_err(|_| {
+            disconnected(format!(
+                "server closed the connection before the request was sent ({e})"
+            ))
+        });
+    }
+    read_response(reader)
+}
+
+/// [`Client::pipeline_raw`] over any transport.
+fn pipeline_on<R: BufRead, W: Write>(
+    reader: &mut R,
+    writer: &mut W,
+    lines: &[String],
+) -> std::io::Result<Vec<String>> {
+    send_lines(writer, lines)?;
+    let mut responses = Vec::with_capacity(lines.len());
+    for _ in 0..lines.len() {
+        match read_response(reader) {
+            Ok(response) => responses.push(response),
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
+                return Err(disconnected(format!(
+                    "{e}, after {} of {} pipelined responses",
+                    responses.len(),
+                    lines.len()
+                )));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(responses)
+}
+
 /// Runs `f` against an existing connection, retrying *explicitly
 /// retryable* server refusals ([`ClientError::Retryable`] — the server
 /// answered, so the connection is still usable) with the policy's
@@ -530,6 +554,66 @@ mod tests {
 
     fn ping(client: &mut Client) -> Result<(), ClientError> {
         client.ping()
+    }
+
+    /// A transport that takes every byte it is offered and counts the
+    /// `write` calls that offered them.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(data);
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_request_line_or_a_batch_is_one_write() {
+        let mut replies = std::io::Cursor::new(
+            "{\"ok\":true}\n{\"ok\":true,\"n\":2}\r\n{\"ok\":true,\"n\":3}\n".as_bytes(),
+        );
+        let mut out = CountingWriter::default();
+        let ping = r#"{"op":"ping"}"#;
+        let reply = call_on(&mut replies, &mut out, ping).unwrap();
+        assert_eq!(reply, r#"{"ok":true}"#);
+        assert_eq!(out.writes, 1, "the line and its newline go in one write");
+        assert_eq!(out.bytes, b"{\"op\":\"ping\"}\n");
+
+        let batch = [ping.to_string(), r#"{"op":"health"}"#.to_string()];
+        let replies = pipeline_on(&mut replies, &mut out, &batch).unwrap();
+        assert_eq!(replies, [r#"{"ok":true,"n":2}"#, r#"{"ok":true,"n":3}"#]);
+        assert_eq!(out.writes, 2, "a whole batch goes in one write");
+        assert_eq!(
+            out.bytes,
+            b"{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n{\"op\":\"health\"}\n"
+        );
+    }
+
+    #[test]
+    fn a_close_before_the_line_ends_is_unexpected_eof() {
+        for replies in ["", "{\"ok\":tr"] {
+            let mut replies = std::io::Cursor::new(replies.as_bytes());
+            let err = call_on(&mut replies, &mut std::io::sink(), "{}").unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{err}");
+        }
+        let mut replies = std::io::Cursor::new("{}\n".as_bytes());
+        let two = ["{}".to_string(), "{}".to_string()];
+        let err = pipeline_on(&mut replies, &mut std::io::sink(), &two).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+        assert!(
+            err.to_string()
+                .ends_with("after 1 of 2 pipelined responses"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -49,13 +49,13 @@ use crate::conn::Conn;
 use crate::obs::{ServerObs, Stage, StageMarks};
 use crate::registry::{Dataset, DatasetSpec, Registry};
 use crate::resident::{Done, Found, Lead, Resident};
-use crate::result_cache::{cache_key, ResultCache, DEFAULT_RESULT_CACHE};
+use crate::result_cache::{ResultCache, DEFAULT_RESULT_CACHE};
 use crate::wire::{
     error_response, ok_response, retryable_error, CountRequest, PublishRequest, Refusal,
     ERR_DEADLINE, ERR_DEGRADED, ERR_OVERLOADED,
 };
 use betalike_faults::{RealVfs, Vfs};
-use betalike_microdata::json::Json;
+use betalike_microdata::json::{write_escaped, Json};
 use betalike_obs::{Clock, Level, RealClock, Registry as MetricsRegistry};
 use betalike_query::{AggQuery, CatalogStats, RangePred};
 use betalike_store::{ArtifactStore, StoreObs};
@@ -396,8 +396,7 @@ impl LocalServer {
     /// `shutdown` request. Unlike a served connection, a `shutdown` here
     /// only reports `stop = true`; there is nothing to stop.
     pub fn respond_line(&self, text: &str) -> (String, bool) {
-        let (response, stop) = respond(&self.state, text);
-        (response.compact(), stop)
+        respond(&self.state, text)
     }
 
     /// The configured request-line byte bound, exactly as the server
@@ -501,13 +500,14 @@ fn ticks_for(timeout_ms: u64, tick_ms: u64) -> u64 {
 /// Writes a [`Conn`]'s due output to the socket and consumes it.
 /// Blocking-path sockets have no write timeout, so this drains fully.
 fn flush_conn(conn: &mut Conn, writer: &mut TcpStream) -> std::io::Result<()> {
-    let bytes = conn.output().to_vec();
+    let bytes = conn.output();
     if bytes.is_empty() {
         return Ok(());
     }
-    writer.write_all(&bytes)?;
+    writer.write_all(bytes)?;
+    let written = bytes.len();
     writer.flush()?;
-    conn.consume(bytes.len());
+    conn.consume(written);
     Ok(())
 }
 
@@ -524,7 +524,7 @@ fn serve_framed(
 ) -> bool {
     for request in requests {
         let (response, stop) = respond(state, &request.text);
-        conn.complete(request.seq, &response.compact(), stop);
+        conn.complete(request.seq, &response, stop);
         if flush_conn(conn, writer).is_err() {
             return false;
         }
@@ -639,22 +639,68 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>) {
     }
 }
 
-/// Appends the request's `trace_id` (when the client sent one) to the
-/// response, so concurrent pipelined responses are attributable. Applied
-/// whether or not timings are on — responses stay byte-identical across
-/// the `obs` flag.
-fn echo_trace_id(response: &mut Json, trace_id: Option<&str>) {
-    if let (Json::Obj(members), Some(id)) = (response, trace_id) {
-        members.push(("trace_id".to_string(), Json::Str(id.to_string())));
+/// What the dispatcher answered: a document still to be encoded, or a
+/// successful `count`'s line, already encoded (or copied from the result
+/// cache).
+enum Reply {
+    Doc(Json),
+    Line(String),
+}
+
+impl From<Json> for Reply {
+    fn from(doc: Json) -> Self {
+        Reply::Doc(doc)
     }
 }
 
-/// Parses and dispatches one request line. The dispatch is wrapped in
+impl Reply {
+    /// Whether the response reports success. Only an answered `count`
+    /// is a [`Reply::Line`].
+    fn ok(&self) -> bool {
+        match self {
+            Reply::Doc(doc) => doc.get("ok").and_then(Json::as_bool).unwrap_or(false),
+            Reply::Line(_) => true,
+        }
+    }
+
+    /// The response line (no trailing newline), with the request's
+    /// `trace_id` (when the client sent one) appended as its last member,
+    /// so concurrent pipelined responses are attributable. Applied
+    /// whether or not timings are on — responses stay byte-identical
+    /// across the `obs` flag.
+    fn into_line(self, trace_id: Option<&str>) -> String {
+        let mut line = match self {
+            Reply::Line(line) => line,
+            Reply::Doc(doc) => doc.compact(),
+        };
+        if let Some(id) = trace_id {
+            append_trace_id(&mut line, id);
+        }
+        line
+    }
+}
+
+/// Splices `"trace_id":id` in as the last member of the encoded object
+/// `line`: the bytes pushing the member onto the document before encoding
+/// would give.
+fn append_trace_id(line: &mut String, id: &str) {
+    // Every response is an object with an `ok` member before this one.
+    let Some(members) = line.strip_suffix('}') else {
+        return;
+    };
+    line.truncate(members.len());
+    line.push_str(",\"trace_id\":");
+    write_escaped(line, id);
+    line.push('}');
+}
+
+/// Parses and dispatches one request line, returning the encoded response
+/// line and whether it was a `shutdown`. The dispatch is wrapped in
 /// `catch_unwind` so a bug in an algorithm takes down one request, not a
 /// pool worker; each caught panic bumps `internal_errors_total`. Every path — parse failure included — lands in
 /// [`ServerObs::finish`], so the per-op request/error counters account
 /// for every request line the server ever answered.
-fn respond(state: &Arc<State>, text: &str) -> (Json, bool) {
+fn respond(state: &Arc<State>, text: &str) -> (String, bool) {
     let obs = &state.obs;
     let start = obs.timer.start();
     let marks = obs.stage_marks();
@@ -663,39 +709,29 @@ fn respond(state: &Arc<State>, text: &str) -> (Json, bool) {
         Err(e) => {
             let response = error_response(&format!("parse: {e}"));
             obs.finish(crate::obs::UNKNOWN_OP, false, start, &marks, None);
-            return (response, false);
+            return (Reply::Doc(response).into_line(None), false);
         }
     };
-    let op = doc
-        .get("op")
-        .and_then(Json::as_str)
-        .unwrap_or_default()
-        .to_string();
-    let trace_id = doc
-        .get("trace_id")
-        .and_then(Json::as_str)
-        .map(str::to_string);
+    let op = doc.get("op").and_then(Json::as_str).unwrap_or_default();
+    let trace_id = doc.get("trace_id").and_then(Json::as_str);
     if op == "shutdown" {
-        let mut response = ok_response(vec![("stopping".into(), Json::Bool(true))]);
-        echo_trace_id(&mut response, trace_id.as_deref());
-        obs.finish(&op, true, start, &marks, trace_id.as_deref());
-        return (response, true);
+        let response = ok_response(vec![("stopping".into(), Json::Bool(true))]);
+        obs.finish(op, true, start, &marks, trace_id);
+        return (Reply::Doc(response).into_line(trace_id), true);
     }
     let result = marks.time(Stage::Dispatch, || {
-        catch_unwind(AssertUnwindSafe(|| dispatch(state, &op, &doc, &marks)))
+        catch_unwind(AssertUnwindSafe(|| dispatch(state, op, &doc, &marks)))
     });
-    let mut response = match result {
-        Ok(Ok(response)) => response,
-        Ok(Err(refusal)) => refusal.to_json(),
+    let reply = match result {
+        Ok(Ok(reply)) => reply,
+        Ok(Err(refusal)) => refusal.to_json().into(),
         Err(_) => {
             obs.internal_errors.inc();
-            error_response("internal error while handling the request")
+            error_response("internal error while handling the request").into()
         }
     };
-    let ok = response.get("ok").and_then(Json::as_bool).unwrap_or(false);
-    echo_trace_id(&mut response, trace_id.as_deref());
-    obs.finish(&op, ok, start, &marks, trace_id.as_deref());
-    (response, false)
+    obs.finish(op, reply.ok(), start, &marks, trace_id);
+    (reply.into_line(trace_id), false)
 }
 
 fn dispatch(
@@ -703,8 +739,9 @@ fn dispatch(
     op: &str,
     doc: &Json,
     marks: &StageMarks<'_>,
-) -> Result<Json, Refusal> {
-    match op {
+) -> Result<Reply, Refusal> {
+    let response: Result<Json, Refusal> = match op {
+        "count" => return count(state, doc, marks).map(Reply::Line),
         "ping" => Ok(ok_response(vec![("pong".into(), Json::Bool(true))])),
         "datasets" => {
             let datasets = state.registry.loaded().into_iter().map(Json::Str).collect();
@@ -725,7 +762,6 @@ fn dispatch(
             Ok(ok_response(members))
         }
         "publish" => Ok(publish(state, doc, marks)?),
-        "count" => count(state, doc, marks),
         "audit" => {
             let handle = doc
                 .get("handle")
@@ -746,7 +782,8 @@ fn dispatch(
              | health | metrics | shutdown)"
         )
         .into()),
-    }
+    };
+    response.map(Reply::Doc)
 }
 
 /// The `health` op: liveness plus the overload and durability gauges —
@@ -1102,26 +1139,20 @@ fn verify(state: &Arc<State>, doc: &Json) -> Result<Json, String> {
     Ok(ok_response(members))
 }
 
-fn count(state: &Arc<State>, doc: &Json, marks: &StageMarks<'_>) -> Result<Json, Refusal> {
-    let request = CountRequest::from_json(doc)?;
+/// Answers a `count` with its encoded response line.
+fn count(state: &Arc<State>, doc: &Json, marks: &StageMarks<'_>) -> Result<String, Refusal> {
+    let mut request = CountRequest::from_json(doc)?;
     let artifact = marks.time(Stage::CountLookup, || lookup(state, &request.handle))?;
     validate_preds(&artifact, &request)?;
     // Deterministic artifact + deterministic estimators ⇒ the response is
-    // a pure function of the key; a cache hit replays the exact document
-    // a miss would compute (byte-identical on the wire). Errors are never
+    // a pure function of the request; a cache hit replays the exact line
+    // a miss would encode (byte-identical on the wire). Errors are never
     // cached — only responses that reached `ok_response`.
-    let key = cache_key(
-        &artifact.handle,
-        &request.qi_preds,
-        request.sa_lo,
-        request.sa_hi,
-        request.exact,
-    );
-    if let Some(cached) = state.results.get(&key) {
-        return Ok(cached);
+    if let Some(line) = state.results.get(&request) {
+        return Ok(line);
     }
     let query = AggQuery {
-        qi_preds: request.qi_preds.clone(),
+        qi_preds: std::mem::take(&mut request.qi_preds),
         sa_pred: RangePred {
             attr: artifact.dataset.sa,
             lo: request.sa_lo,
@@ -1142,9 +1173,11 @@ fn count(state: &Arc<State>, doc: &Json, marks: &StageMarks<'_>) -> Result<Json,
         }
         Ok::<_, String>(members)
     })?;
-    let response = ok_response(members);
-    state.results.insert(key, response.clone());
-    Ok(response)
+    let line = ok_response(members).compact();
+    // The predicates go back into the request, which becomes the entry's key.
+    request.qi_preds = query.qi_preds;
+    state.results.insert(request, &line);
+    Ok(line)
 }
 
 fn lookup(state: &Arc<State>, handle: &str) -> Result<Arc<Artifact>, String> {
@@ -1283,6 +1316,12 @@ mod tests {
     use std::collections::BTreeSet;
     use std::sync::atomic::AtomicU64;
 
+    /// [`respond`] with the response line parsed back into a document.
+    fn respond_doc(state: &Arc<State>, text: &str) -> (Json, bool) {
+        let (line, stop) = respond(state, text);
+        (Json::parse(&line).expect("a response is JSON"), stop)
+    }
+
     #[derive(Debug, Default)]
     struct SteppingClock(AtomicU64);
 
@@ -1342,7 +1381,11 @@ mod tests {
             slow_query_ms,
             ..Default::default()
         });
-        let handle = respond(&state, PUBLISH).0.get("handle").unwrap().compact();
+        let handle = respond_doc(&state, PUBLISH)
+            .0
+            .get("handle")
+            .unwrap()
+            .compact();
         let count = count_line;
         for line in [
             count(&handle, "c-miss"),
@@ -1351,7 +1394,7 @@ mod tests {
             r#"{"op":"ping"}"#.into(),
             "{".into(),
         ] {
-            respond(&state, &line);
+            respond_doc(&state, &line);
         }
         (logged(&sink), clock.0.load(Ordering::SeqCst) / 1_000_000)
     }
@@ -1404,10 +1447,10 @@ mod tests {
     fn info_logs_publishes_and_reloads() {
         let requests = |log_level| {
             let (state, sink, dir) = durable("info-log", log_level);
-            let handle = handle_of(respond(&state, PUBLISH));
-            let other = handle_of(respond(&state, PUBLISH_OTHER));
+            let handle = handle_of(respond_doc(&state, PUBLISH));
+            let other = handle_of(respond_doc(&state, PUBLISH_OTHER));
             for id in ["c-1", "c-2"] {
-                assert!(respond(&state, &count_line(&handle, id))
+                assert!(respond_doc(&state, &count_line(&handle, id))
                     .0
                     .get("estimate")
                     .is_some());
@@ -1449,7 +1492,7 @@ mod tests {
                 r#"{{"op":"publish","dataset":"census","rows":1200,"dseed":4,"algo":"burel","beta":{beta}}}"#
             );
             assert_eq!(
-                respond(&state, &line).0.get("cached"),
+                respond_doc(&state, &line).0.get("cached"),
                 Some(&Json::Bool(false))
             );
             let dataset = newest_dataset();
@@ -1473,7 +1516,7 @@ mod tests {
         };
         let mut handles = BTreeSet::new();
         for seed in 0..200 {
-            let (response, _) = respond(&state, &failing(seed));
+            let (response, _) = respond_doc(&state, &failing(seed));
             let error = response.get("error").and_then(Json::as_str).unwrap();
             assert!(error.contains("`qi` must be within"), "{error}");
             let request = PublishRequest::from_json(&Json::parse(&failing(seed)).unwrap());
@@ -1483,7 +1526,7 @@ mod tests {
         assert_eq!(state.resident.entries(), 0);
         assert_eq!(state.obs.artifacts_resident.get(), 0);
         let first = handles.first().unwrap();
-        let (response, _) = respond(&state, &count_line(&format!("\"{first}\""), "c-1"));
+        let (response, _) = respond_doc(&state, &count_line(&format!("\"{first}\""), "c-1"));
         assert_eq!(
             response.get("error").and_then(Json::as_str),
             Some(format!("unknown handle `{first}` (publish first)").as_str())

@@ -5,8 +5,8 @@ use betalike_microdata::json::Json;
 use betalike_query::{generate_workload, AggQuery, PublishedAnswerer, WorkloadConfig};
 use betalike_server::artifact::Artifact;
 use betalike_server::{
-    persist, serve, Algo, Client, ClientError, CountRequest, DatasetSpec, PublishRequest, Registry,
-    ServerConfig,
+    persist, serve, Algo, Client, ClientError, CountRequest, DatasetSpec, LocalServer,
+    PublishRequest, Registry, ServerConfig,
 };
 use std::sync::Arc;
 
@@ -286,6 +286,66 @@ fn result_cache_on_and_off_answer_byte_identically() {
 
     server_a.shutdown_and_join();
     server_b.shutdown_and_join();
+}
+
+#[test]
+fn cached_count_lines_match_an_uncached_server_with_any_trace_id() {
+    // The cache stores a count's encoded line and splices a `trace_id`
+    // onto it at the line level. A miss and then a hit must both read
+    // exactly what a cache-less server answers: without a `trace_id`,
+    // with a plain one, and with one that needs escaping.
+    let cached = LocalServer::new(&ServerConfig::default()).unwrap();
+    let uncached = LocalServer::new(&ServerConfig {
+        result_cache: 0,
+        ..Default::default()
+    })
+    .unwrap();
+    let publish = census_request(Algo::Burel).to_json().compact();
+    let handle_of = |server: &LocalServer| {
+        let (ack, _) = server.respond_line(&publish);
+        let ack = Json::parse(&ack).unwrap();
+        ack.get("handle")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string()
+    };
+    let handle = handle_of(&cached);
+    assert_eq!(handle_of(&uncached), handle);
+    let hits = |server: &LocalServer| {
+        let (health, _) = server.respond_line(r#"{"op":"health"}"#);
+        let health = Json::parse(&health).unwrap();
+        health
+            .get("result_cache_hits")
+            .and_then(Json::as_u64)
+            .unwrap()
+    };
+
+    let traces = [None, Some("c-7"), Some("q\"uo\\te\n\u{1}\u{e9}")];
+    for (line, trace) in workload_lines(&handle).iter().zip(traces.iter().cycle()) {
+        let line = match trace {
+            None => line.clone(),
+            Some(id) => {
+                let Json::Obj(mut members) = Json::parse(line).unwrap() else {
+                    panic!("a count request is an object");
+                };
+                members.push(("trace_id".into(), Json::Str((*id).into())));
+                Json::Obj(members).compact()
+            }
+        };
+        let before = hits(&cached);
+        let (miss, _) = cached.respond_line(&line);
+        assert_eq!(hits(&cached), before, "the first answer is a miss");
+        let (hit, _) = cached.respond_line(&line);
+        assert_eq!(hits(&cached), before + 1, "the second answer is a hit");
+        let (reference, _) = uncached.respond_line(&line);
+        assert_eq!(miss, reference, "miss of {line}");
+        assert_eq!(hit, reference, "hit of {line}");
+        // The spliced member is what encoding the document would give.
+        let doc = Json::parse(&hit).unwrap();
+        assert_eq!(doc.compact(), hit);
+        assert_eq!(doc.get("trace_id").and_then(Json::as_str), *trace);
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
+    }
 }
 
 #[test]
